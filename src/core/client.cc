@@ -216,16 +216,29 @@ void WedgeClient::HandleAddResponse(NodeId from, const Envelope& env,
   if (from != edge_) return;
   auto resp = AddResponse::Decode(env.body);
   if (!resp.ok()) return;
-  auto it = pending_writes_.find(resp->req_id);
+  // One response covers all our requests in the block: open, decode and
+  // digest it once, and share the signed envelope as every covered
+  // write's dispute evidence for this block.
+  const Digest256 digest = resp->block.Digest();
+  auto evidence = std::make_shared<const Bytes>(env.raw);
+  ApplyAddResponse(resp->req_id, *resp, digest, evidence, now);
+  for (SeqNum req_id : resp->other_req_ids) {
+    ApplyAddResponse(req_id, *resp, digest, evidence, now);
+  }
+}
+
+void WedgeClient::ApplyAddResponse(
+    SeqNum req_id, const AddResponse& resp, const Digest256& digest,
+    const std::shared_ptr<const Bytes>& evidence, SimTime now) {
+  auto it = pending_writes_.find(req_id);
   if (it == pending_writes_.end() || it->second.phase1_done) return;
   PendingWrite& pending = it->second;
 
-  // Cross off the entries this block covers (Algorithm 1 line 4). The
-  // signed response is kept as dispute evidence for this block.
+  // Cross off the entries this block covers (Algorithm 1 line 4).
   size_t before = pending.remaining_entries.size();
   std::erase_if(pending.remaining_entries,
                 [&](const std::pair<NodeId, SeqNum>& id) {
-                  return resp->block.Contains(id.first, id.second);
+                  return resp.block.Contains(id.first, id.second);
                 });
   if (pending.remaining_entries.size() == before) {
     // A response that advances nothing is a lie (our entries are absent).
@@ -233,15 +246,15 @@ void WedgeClient::HandleAddResponse(NodeId from, const Envelope& env,
     if (pending.on_phase1) {
       pending.on_phase1(
           Status::SecurityViolation("entry missing from echoed block"),
-          resp->bid, now);
+          resp.bid, now);
     }
     pending_writes_.erase(it);
     return;
   }
-  if (pending.block_digests.empty()) pending.first_bid = resp->bid;
-  pending.block_digests[resp->bid] = resp->block.Digest();
-  pending.evidence[resp->bid] = env.raw;
-  write_by_bid_[resp->bid].push_back(resp->req_id);
+  if (pending.block_digests.empty()) pending.first_bid = resp.bid;
+  pending.block_digests[resp.bid] = digest;
+  pending.evidence[resp.bid] = evidence;
+  write_by_bid_[resp.bid].push_back(req_id);
 
   if (!pending.remaining_entries.empty()) return;  // more blocks to come
 
@@ -259,7 +272,7 @@ void WedgeClient::HandleAddResponse(NodeId from, const Envelope& env,
     exec_->Charge(costs_.client_verify_add,
                   [cb, bid, exec] { cb(Status::OK(), bid, exec->Now()); });
   }
-  ArmProofTimeout(resp->req_id, bid);
+  ArmProofTimeout(req_id, bid);
 }
 
 void WedgeClient::ArmProofTimeout(SeqNum req_id, BlockId bid) {
@@ -270,7 +283,7 @@ void WedgeClient::ArmProofTimeout(SeqNum req_id, BlockId bid) {
     // Proofs still outstanding: escalate each unproven block to the cloud
     // with our signed evidence.
     for (const auto& [b, ev] : it->second.evidence) {
-      RaiseDispute(DisputeKind::kAddMismatch, b, ev);
+      RaiseDispute(DisputeKind::kAddMismatch, b, *ev);
       // Deregister only this write's interest: concurrent writes sharing
       // the block keep waiting for its proof.
       auto bit = write_by_bid_.find(b);
@@ -300,6 +313,7 @@ void WedgeClient::HandleBlockProof(const BlockProof& proof, SimTime now) {
   if (wit != write_by_bid_.end()) {
     const std::vector<SeqNum> reqs = std::move(wit->second);
     write_by_bid_.erase(wit);
+    bool disputed = false;
     for (SeqNum req : reqs) {
       auto pit = pending_writes_.find(req);
       if (pit == pending_writes_.end()) continue;
@@ -319,10 +333,14 @@ void WedgeClient::HandleBlockProof(const BlockProof& proof, SimTime now) {
         }
       } else {
         // The cloud certified a different block for this bid: the edge
-        // lied to us at Phase I. Our signed evidence convicts it.
-        stats_.proof_mismatches++;
-        RaiseDispute(DisputeKind::kAddMismatch, proof.cert.bid,
-                     pending.evidence[proof.cert.bid]);
+        // lied to us at Phase I. Our signed evidence convicts it; the
+        // writes in this block share one ack, so one dispute suffices.
+        if (!disputed) {
+          disputed = true;
+          stats_.proof_mismatches++;
+          RaiseDispute(DisputeKind::kAddMismatch, proof.cert.bid,
+                       *pending.evidence[proof.cert.bid]);
+        }
         if (pending.on_phase2) {
           pending.on_phase2(
               Status::MaliciousBehavior("certified digest mismatch"),
@@ -332,11 +350,14 @@ void WedgeClient::HandleBlockProof(const BlockProof& proof, SimTime now) {
       }
     }
   }
-  // Phase I reads waiting on this block.
+  // Phase I reads waiting on this block — all of them, as for writes.
   auto rit = read_by_bid_.find(proof.cert.bid);
   if (rit != read_by_bid_.end()) {
-    auto pit = pending_reads_.find(rit->second);
-    if (pit != pending_reads_.end()) {
+    const std::vector<SeqNum> reads = std::move(rit->second);
+    read_by_bid_.erase(rit);
+    for (SeqNum req : reads) {
+      auto pit = pending_reads_.find(req);
+      if (pit == pending_reads_.end()) continue;
       PendingRead& pending = pit->second;
       if (proof.cert.digest == pending.block_digest) {
         stats_.reads_ok++;
@@ -354,7 +375,6 @@ void WedgeClient::HandleBlockProof(const BlockProof& proof, SimTime now) {
       }
       pending_reads_.erase(pit);
     }
-    read_by_bid_.erase(rit);
   }
 }
 
@@ -424,7 +444,7 @@ void WedgeClient::HandleReadResponse(NodeId from, const Envelope& env,
   pending.block = resp->block;
   pending.block_digest = resp->block.Digest();
   pending.evidence = env.raw;
-  read_by_bid_[pending.bid] = resp->req_id;
+  read_by_bid_[pending.bid].push_back(resp->req_id);
   ReadCb cb = pending.cb;
   Block block = resp->block;
   exec_->Charge(costs_.client_verify_read, [cb, block, verified_at] {

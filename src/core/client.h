@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -150,10 +151,11 @@ class WedgeClient : public Endpoint {
     bool phase1_done = false;
     BlockId first_bid = 0;
     /// Per involved block: the digest the edge promised, plus the signed
-    /// response kept as dispute evidence. Phase II completes when every
-    /// involved block's proof matched.
+    /// response kept as dispute evidence (shared by every write the one
+    /// response covers). Phase II completes when every involved block's
+    /// proof matched.
     std::map<BlockId, Digest256> block_digests;
-    std::map<BlockId, Bytes> evidence;
+    std::map<BlockId, std::shared_ptr<const Bytes>> evidence;
   };
   struct PendingRead {
     SimTime sent_at = 0;
@@ -193,6 +195,11 @@ class WedgeClient : public Endpoint {
   void SendWrite(MsgType type, std::vector<Entry> entries, Phase1Cb cb1,
                  Phase2Cb cb2);
   void HandleAddResponse(NodeId from, const Envelope& env, SimTime now);
+  /// Applies one (coalesced) add-response to the pending write `req_id`.
+  void ApplyAddResponse(SeqNum req_id, const AddResponse& resp,
+                        const Digest256& digest,
+                        const std::shared_ptr<const Bytes>& evidence,
+                        SimTime now);
   void HandleBlockProof(const BlockProof& proof, SimTime now);
   void HandleReadResponse(NodeId from, const Envelope& env, SimTime now);
   void HandleGetResponse(const Envelope& env, SimTime now);
@@ -227,7 +234,10 @@ class WedgeClient : public Endpoint {
   /// Phase-II-commits on that block's proof.
   std::unordered_map<BlockId, std::vector<SeqNum>> write_by_bid_;
   std::unordered_map<SeqNum, PendingRead> pending_reads_;     // by req_id
-  std::unordered_map<BlockId, SeqNum> read_by_bid_;           // Phase I reads
+  /// Phase I reads awaiting a block's proof, by block id. A vector for
+  /// the same reason: concurrent reads of one uncertified block each get
+  /// their Phase II verdict from its one proof.
+  std::unordered_map<BlockId, std::vector<SeqNum>> read_by_bid_;
   std::unordered_map<SeqNum, PendingGet> pending_gets_;
   std::unordered_map<SeqNum, PendingCloudGet> pending_cloud_gets_;
   std::unordered_map<SeqNum, PendingScan> pending_scans_;

@@ -204,30 +204,40 @@ void EdgeNode::FinishBlock(Block block, bool is_kv, SimTime now) {
     WLOG_WARN << "edge " << id() << ": apply block failed: " << st;
   }
 
-  // Deduplicate contributors (a client may have several entries in the
-  // block) and respond to each with the signed block: Phase I commit.
-  std::vector<Contribution> contribs = std::move(buffer_contribs_);
+  // Group the contributions by client (a client may have several entries
+  // and several requests in the block) and send each client the signed
+  // block once, listing all its requests: Phase I commit. A request's
+  // entries are buffered back to back, so its id repeats only in a run.
+  std::vector<std::pair<NodeId, std::vector<SeqNum>>> by_client;
+  for (const auto& c : buffer_contribs_) {
+    auto it = std::find_if(by_client.begin(), by_client.end(),
+                           [&](const auto& g) { return g.first == c.client; });
+    if (it == by_client.end()) {
+      by_client.push_back({c.client, {c.req_id}});
+    } else if (it->second.back() != c.req_id) {
+      it->second.push_back(c.req_id);
+    }
+  }
   buffer_contribs_.clear();
-  std::map<std::pair<NodeId, SeqNum>, bool> seen;
-  std::vector<Contribution> unique;
-  for (const auto& c : contribs) {
-    if (seen.emplace(std::make_pair(c.client, c.req_id), true).second) {
-      unique.push_back(c);
-    }
-  }
-  for (const auto& c : unique) {
-    AddResponse resp;
-    resp.req_id = c.req_id;
-    resp.bid = bid;
-    resp.block = block;
-    if (misbehavior_.equivocate_to_victim && c.client == misbehavior_.victim &&
-        !resp.block.entries.empty()) {
+  AddResponse resp;
+  resp.bid = bid;
+  resp.block = block;
+  std::set<NodeId>& waiters = proof_waiters_[bid];
+  for (auto& [client, req_ids] : by_client) {
+    resp.req_id = req_ids.front();
+    resp.other_req_ids.assign(req_ids.begin() + 1, req_ids.end());
+    if (misbehavior_.equivocate_to_victim && client == misbehavior_.victim &&
+        !block.entries.empty()) {
       // Give the victim an inconsistent view: same bid, tampered payload.
-      resp.block.entries[0].payload.push_back(0xee);
+      AddResponse lie = resp;
+      lie.block.entries[0].payload.push_back(0xee);
+      SendSealed(client, MsgType::kAddResponse, lie.Encode());
+    } else {
+      SendSealed(client, MsgType::kAddResponse, resp.Encode());
     }
-    SendSealed(c.client, MsgType::kAddResponse, resp.Encode());
+    stats_.add_responses_sent++;
+    waiters.insert(client);
   }
-  block_contribs_[bid] = std::move(unique);
 
   // Background: lazy (asynchronous) certification — digest only.
   Digest256 digest;
@@ -285,7 +295,7 @@ void EdgeNode::HandleRead(NodeId from, const ReadRequest& req, SimTime now) {
   resp.proof = log_.GetCertificate(req.bid);
   if (!resp.proof.has_value()) {
     // Phase I read: remember the reader so the proof can be forwarded.
-    read_waiters_[req.bid].push_back(from);
+    proof_waiters_[req.bid].insert(from);
   }
   SendSealed(from, MsgType::kReadResponse, resp.Encode());
   (void)now;
@@ -363,22 +373,16 @@ void EdgeNode::HandleBlockProof(const BlockProof& proof, SimTime now) {
       }
     }
   }
-  // Forward to Phase I writers and readers of this block regardless; the
-  // clients verify the certificate themselves.
-  Bytes body = proof.Encode();
-  auto cit = block_contribs_.find(proof.cert.bid);
-  if (cit != block_contribs_.end()) {
-    for (const auto& c : cit->second) {
-      SendSealed(c.client, MsgType::kBlockProof, body);
-    }
-    block_contribs_.erase(cit);
-  }
-  auto rit = read_waiters_.find(proof.cert.bid);
-  if (rit != read_waiters_.end()) {
-    for (NodeId client : rit->second) {
+  // Forward to Phase I writers and readers of this block regardless, once
+  // per client; the clients verify the certificate themselves.
+  auto wit = proof_waiters_.find(proof.cert.bid);
+  if (wit != proof_waiters_.end()) {
+    Bytes body = proof.Encode();
+    for (NodeId client : wit->second) {
       SendSealed(client, MsgType::kBlockProof, body);
+      stats_.proofs_forwarded++;
     }
-    read_waiters_.erase(rit);
+    proof_waiters_.erase(wit);
   }
   (void)now;
 }
@@ -610,8 +614,7 @@ void EdgeNode::DropVolatileState() {
   lsm_ = LsmerkleTree(config_.lsm);
   builder_ = BlockBuilder(config_.ops_per_block, 0);
   buffer_contribs_.clear();
-  block_contribs_.clear();
-  read_waiters_.clear();
+  proof_waiters_.clear();
   repair_waiters_.clear();
   rollback_state_.reset();
   last_seq_.clear();

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -43,6 +44,11 @@ struct EdgeStats {
   uint64_t scans_served = 0;
   uint64_t certifies_sent = 0;
   uint64_t proofs_received = 0;
+  /// Phase I acks: one per (client, block), however many of the client's
+  /// requests the block covers.
+  uint64_t add_responses_sent = 0;
+  /// Block-proofs forwarded to clients: one per (client, block).
+  uint64_t proofs_forwarded = 0;
   uint64_t merges_completed = 0;
   uint64_t noop_merges = 0;
   uint64_t reservation_misses = 0;
@@ -165,10 +171,9 @@ class EdgeNode : public Endpoint {
 
   /// Contributors of the block currently being buffered.
   std::vector<Contribution> buffer_contribs_;
-  /// Contributors per formed block, for proof forwarding.
-  std::unordered_map<BlockId, std::vector<Contribution>> block_contribs_;
-  /// Clients whose Phase I reads await the block-proof.
-  std::unordered_map<BlockId, std::vector<NodeId>> read_waiters_;
+  /// Clients awaiting each block's proof: its Phase I writers and
+  /// readers. A set, so each client is forwarded each proof once.
+  std::unordered_map<BlockId, std::set<NodeId>> proof_waiters_;
   /// Reads parked on a backup fetch of a missing block: bid -> readers.
   std::unordered_map<BlockId, std::vector<std::pair<NodeId, SeqNum>>>
       repair_waiters_;

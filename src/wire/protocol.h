@@ -73,21 +73,35 @@ struct AddRequest {
 
 /// Edge -> client: the block that contains the client's entries. This
 /// signed response is the client's Phase I evidence (temporary proof).
+/// One response covers every request of the client with entries in the
+/// block: `req_id` plus `other_req_ids`. The ids only route the ack to
+/// the client's pending writes; the evidence is the block itself.
 struct AddResponse {
   SeqNum req_id = 0;
   BlockId bid = 0;
   Block block;
+  std::vector<SeqNum> other_req_ids;
 
   void EncodeTo(Encoder* enc) const {
     enc->PutU64(req_id);
     enc->PutU64(bid);
     block.EncodeTo(enc);
+    enc->PutU32(static_cast<uint32_t>(other_req_ids.size()));
+    for (SeqNum id : other_req_ids) enc->PutU64(id);
   }
   static Result<AddResponse> DecodeFrom(Decoder* dec) {
     AddResponse m;
     WEDGE_ASSIGN_OR_RETURN(m.req_id, dec->GetU64());
     WEDGE_ASSIGN_OR_RETURN(m.bid, dec->GetU64());
     WEDGE_ASSIGN_OR_RETURN(m.block, Block::DecodeFrom(dec));
+    uint32_t n = 0;
+    WEDGE_ASSIGN_OR_RETURN(n, dec->GetU32());
+    m.other_req_ids.reserve(std::min<size_t>(n, dec->remaining() / 8));
+    for (uint32_t i = 0; i < n; ++i) {
+      SeqNum id = 0;
+      WEDGE_ASSIGN_OR_RETURN(id, dec->GetU64());
+      m.other_req_ids.push_back(id);
+    }
     return m;
   }
   WEDGE_MSG_HELPERS(AddResponse)

@@ -3,10 +3,18 @@
 // the LSMerkle put/get path with merges, and — crucially — every §IV-E
 // attack: equivocation, tampered certification, omission, replay, lying
 // get responses, and stale snapshots. Each attack must be detected and
-// punished.
+// punished. The Phase I ack suite at the end also runs on real threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <future>
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "api/store.h"
 #include "core/deployment.h"
 
 namespace wedge {
@@ -276,17 +284,28 @@ TEST(CoreAttackTest, EquivocationToVictimDetectedAndPunished) {
   d.Start();
   d.edge().misbehavior().victim = d.client(1).id();
 
-  // Both clients contribute to the same block.
-  Status victim_phase2 = Status::OK();
-  d.client(0).AddBatch(Payloads(2, 1));
-  d.client(1).AddBatch(Payloads(2, 2), nullptr,
-                       [&](const Status& s, BlockId, SimTime) {
-                         victim_phase2 = s;
-                       });
+  // Both clients contribute to the same block; the victim with three
+  // concurrent writes, all covered by its one (tampered) coalesced ack.
+  d.client(0).AddBatch(Payloads(1, 1));
+  std::vector<Status> victim_phase2;
+  for (int i = 0; i < 3; ++i) {
+    d.client(1).AddBatch(Payloads(1, 2), nullptr,
+                         [&](const Status& s, BlockId, SimTime) {
+                           victim_phase2.push_back(s);
+                         });
+  }
   d.sim().RunFor(10 * kSecond);
+  EXPECT_EQ(d.edge().stats().blocks_formed, 1u);
+  EXPECT_EQ(d.edge().stats().add_responses_sent, 2u) << "one per client";
 
-  // The victim saw a block whose digest differs from the certified one.
-  EXPECT_TRUE(victim_phase2.IsMaliciousBehavior());
+  // The victim saw a block whose digest differs from the certified one:
+  // every write it covered fails Phase II, and the shared evidence is
+  // disputed once and upheld.
+  ASSERT_EQ(victim_phase2.size(), 3u);
+  for (const Status& s : victim_phase2) {
+    EXPECT_TRUE(s.IsMaliciousBehavior()) << s;
+  }
+  EXPECT_EQ(d.client(1).stats().phase1_commits, 3u);
   EXPECT_EQ(d.client(1).stats().proof_mismatches, 1u);
   EXPECT_GE(d.client(1).stats().disputes_sent, 1u);
   EXPECT_EQ(d.client(1).stats().disputes_upheld, 1u);
@@ -624,6 +643,130 @@ TEST(CoreSessionTest, MonotonicSessionsAcceptHonestProgress) {
   }
   EXPECT_EQ(d.client().stats().snapshot_regressions, 0u);
 }
+
+// ------------------------------------- Phase I acks, sim and threads
+
+StoreOptions AckOptions(RuntimeKind runtime, size_t ops_per_block) {
+  StoreOptions o;
+  o.WithRuntime(runtime)
+      .WithSeed(7)
+      .WithOpsPerBlock(ops_per_block)
+      .WithLsm({64}, 8)
+      .WithProofTimeout(60 * kSecond);
+  o.deploy.net.jitter_frac = 0.0;
+  return o;
+}
+
+/// Runs `fn` on `node`'s executor and waits for it: node state is owned
+/// by its worker thread under ThreadedRuntime (inline under SimRuntime).
+void OnNode(Store& store, NodeId node, ExecRole role,
+            const std::function<void()>& fn) {
+  std::promise<void> done;
+  store.runtime().ExecutorFor(node, role)->Post([&] {
+    fn();
+    done.set_value();
+  });
+  done.get_future().wait();
+}
+
+class PhaseOneAckTest : public ::testing::TestWithParam<RuntimeKind> {};
+
+// K concurrent puts from one client land in one block: the edge sends
+// that client one add-response listing all K requests and forwards the
+// block's proof once, and every put still reaches both commit points.
+TEST_P(PhaseOneAckTest, ConcurrentPutsShareOneAckAndOneProof) {
+  constexpr int kPuts = 8;
+  auto opened = Store::Open(AckOptions(GetParam(), kPuts));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store store = std::move(*opened);
+
+  std::vector<AsyncCommit> puts;
+  for (int i = 0; i < kPuts; ++i) {
+    puts.push_back(store.AsyncPut(static_cast<Key>(i), Bytes(16, 1)));
+  }
+  std::vector<BlockId> blocks;
+  for (AsyncCommit& p : puts) {
+    auto p1 = p.WaitPhase1(10 * kSecond);
+    ASSERT_TRUE(p1.ok()) << p1.status();
+    blocks.push_back(p1->block);
+  }
+  for (AsyncCommit& p : puts) {
+    auto p2 = p.WaitPhase2(10 * kSecond);
+    ASSERT_TRUE(p2.ok()) << p2.status();
+  }
+  EXPECT_EQ(std::count(blocks.begin(), blocks.end(), blocks.front()), kPuts);
+
+  EdgeStats edge;
+  OnNode(store, store.wedge().edge().id(), ExecRole::kDedicated,
+         [&] { edge = store.wedge().edge().stats(); });
+  EXPECT_EQ(edge.blocks_formed, 1u);
+  EXPECT_EQ(edge.add_responses_sent, 1u);
+  EXPECT_EQ(edge.proofs_forwarded, 1u);
+
+  ClientStats client;
+  OnNode(store, store.wedge().client().id(), ExecRole::kPooled,
+         [&] { client = store.wedge().client().stats(); });
+  EXPECT_EQ(client.phase1_commits, static_cast<uint64_t>(kPuts));
+  EXPECT_EQ(client.phase2_commits, static_cast<uint64_t>(kPuts));
+}
+
+// Two concurrent Phase I reads of one uncertified block both get their
+// Phase II verdict from the block's one proof (the second read used to
+// displace the first, whose verdict and evidence were then lost).
+TEST_P(PhaseOneAckTest, ConcurrentPhaseOneReadsBothGetPhaseTwo) {
+  // Declared before the store, so they outlive its worker threads.
+  std::mutex mu;
+  std::vector<std::pair<Status, bool>> verdicts[2];
+  auto opened = Store::Open(AckOptions(GetParam(), 4));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store store = std::move(*opened);
+
+  // Hold certification back so both reads are served at Phase I.
+  LinkShape slow;
+  slow.extra_delay = 500 * kMillisecond;
+  store.runtime().faults().ShapeLink(store.wedge().edge().id(),
+                                     store.wedge().cloud().id(), slow);
+  auto p1 = store.AsyncPutBatch({{1, Bytes(16, 1)},
+                                 {2, Bytes(16, 1)},
+                                 {3, Bytes(16, 1)},
+                                 {4, Bytes(16, 1)}})
+                .WaitPhase1(10 * kSecond);
+  ASSERT_TRUE(p1.ok()) << p1.status();
+  const BlockId bid = p1->block;
+
+  WedgeClient& c = store.wedge().client();
+  c.Invoke([&c, &mu, &verdicts, bid] {
+    for (int i = 0; i < 2; ++i) {
+      c.ReadBlock(bid, [&mu, &verdicts, i](const Status& s, const Block&,
+                                           bool phase2, SimTime) {
+        std::lock_guard<std::mutex> lock(mu);
+        verdicts[i].emplace_back(s, phase2);
+      });
+    }
+  });
+  auto both_done = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return verdicts[0].size() == 2 && verdicts[1].size() == 2;
+  };
+  for (int i = 0; i < 100 && !both_done(); ++i) {
+    store.RunFor(100 * kMillisecond);
+  }
+  ASSERT_TRUE(both_done());
+  for (const auto& v : verdicts) {
+    EXPECT_TRUE(v[0].first.ok()) << v[0].first;
+    EXPECT_FALSE(v[0].second) << "served before certification";
+    EXPECT_TRUE(v[1].first.ok()) << v[1].first;
+    EXPECT_TRUE(v[1].second) << "Phase II verdict";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runtimes, PhaseOneAckTest,
+    ::testing::Values(RuntimeKind::kSim, RuntimeKind::kThreaded),
+    [](const ::testing::TestParamInfo<RuntimeKind>& info) {
+      return std::string(info.param == RuntimeKind::kSim ? "sim"
+                                                         : "threaded");
+    });
 
 }  // namespace
 }  // namespace wedge

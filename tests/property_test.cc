@@ -358,6 +358,8 @@ TEST_P(CodecFuzzTest, CorruptedMessagesFailCleanly) {
     ar.bid = 3;
     ar.block = b;
     corpus.push_back(ar.Encode());
+    ar.other_req_ids = {2, 5};  // a coalesced ack's request-id trailer
+    corpus.push_back(ar.Encode());
     BlockProof bp;
     bp.cert = BlockCertificate::Make(cloud, edge.id(), 3, b.Digest(), 50);
     corpus.push_back(bp.Encode());

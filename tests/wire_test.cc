@@ -262,8 +262,22 @@ TEST_F(WireTest, AddResponseRoundTrip) {
   m.bid = 12;
   m.block = MakeBlock(12);
   auto back = *AddResponse::Decode(m.Encode());
+  EXPECT_EQ(back.req_id, 3u);
   EXPECT_EQ(back.bid, 12u);
   EXPECT_EQ(back.block, m.block);
+  EXPECT_TRUE(back.other_req_ids.empty());
+
+  // A coalesced ack lists the client's other requests in the block.
+  m.other_req_ids = {4, 9, 1ull << 40};
+  Bytes wire = m.Encode();
+  back = *AddResponse::Decode(wire);
+  EXPECT_EQ(back.req_id, 3u);
+  EXPECT_EQ(back.other_req_ids, m.other_req_ids);
+  EXPECT_EQ(back.block, m.block);
+
+  // A trailer cut short, or claiming more ids than it carries, fails.
+  wire.resize(wire.size() - 1);
+  EXPECT_FALSE(AddResponse::Decode(wire).ok());
 }
 
 TEST_F(WireTest, ReadResponseWithProofRoundTrip) {
