@@ -52,6 +52,10 @@ void Preload(Store& store, const ExperimentConfig& cfg) {
   auto loaded = std::make_shared<bool>(false);
   std::shared_ptr<std::function<void()>> next =
       std::make_shared<std::function<void()>>();
+  // The loop refers to itself weakly; each pending write's callback holds
+  // it strongly, so it is freed after the last one instead of leaking as
+  // a self-reference.
+  std::weak_ptr<std::function<void()>> self = next;
   *next = [=]() {
     if (*issued >= total) {
       *loaded = true;
@@ -63,9 +67,10 @@ void Preload(Store& store, const ExperimentConfig& cfg) {
     for (size_t i = 0; i < n; ++i) {
       kvs.emplace_back(key_at((*issued)++), Bytes(cfg.spec.value_size, 0x11));
     }
-    backend->PutBatch(0, kvs,
-                      [next](const Status&, BlockId, SimTime) { (*next)(); },
-                      nullptr);
+    backend->PutBatch(
+        0, kvs,
+        [loop = self.lock()](const Status&, BlockId, SimTime) { (*loop)(); },
+        nullptr);
   };
   (*next)();
   // Run the load to completion (bounded to avoid hangs on bugs).

@@ -142,10 +142,12 @@ struct AsyncOpState {
 
 /// First-wins settle. Returns true iff this call settled the slot; the
 /// registered callback (if any) fires outside the lock, on the settling
-/// context.
+/// context. `on_claim` runs once the slot is claimed and before anyone
+/// can observe the settle (waiters or callbacks), so a deadline or
+/// cancel counted there is visible to whoever the settle wakes.
 template <typename T>
 bool SettleOp(const std::shared_ptr<AsyncOpState<T>>& st, const Status& s,
-              T value) {
+              T value, const std::function<void()>& on_claim = nullptr) {
   std::function<void(const Status&, const T&)> cb;
   {
     std::lock_guard<std::mutex> lock(st->mu);
@@ -156,6 +158,7 @@ bool SettleOp(const std::shared_ptr<AsyncOpState<T>>& st, const Status& s,
     cb = std::move(st->on_done);
     st->on_done = nullptr;
   }
+  if (on_claim) on_claim();
   st->rt->RunOnCompletion([&] { st->done = true; });
   if (cb) cb(st->status, st->result);
   return true;
@@ -187,7 +190,8 @@ struct AsyncCommitState {
 /// "Phase I settled before Phase II" holds even on the deadline/cancel
 /// paths. Returns true iff any phase settled.
 inline bool SettleCommit(const std::shared_ptr<AsyncCommitState>& st,
-                         bool phase2, const Status& s, const Commit& c) {
+                         bool phase2, const Status& s, const Commit& c,
+                         const std::function<void()>& on_claim = nullptr) {
   std::function<void(const Status&, const Commit&)> cb1, cb2;
   bool fire1 = false, fire2 = false;
   Status s1, s2;
@@ -218,6 +222,7 @@ inline bool SettleCommit(const std::shared_ptr<AsyncCommitState>& st,
     c2 = st->phase2;
   }
   if (!fire1 && !fire2) return false;
+  if (on_claim) on_claim();
   st->rt->RunOnCompletion([&] {
     if (fire1) st->phase1_done = true;
     if (fire2) st->phase2_done = true;
@@ -266,10 +271,9 @@ class AsyncOp {
   /// request (if admitted) still runs to completion down in the
   /// deployment; only this observation is abandoned.
   void Cancel() {
-    if (api_internal::SettleOp<T>(state_, Status::Cancelled("cancelled"),
-                                  T{})) {
-      state_->gate->CountCancelled();
-    }
+    api_internal::AsyncGate* gate = state_->gate;
+    api_internal::SettleOp<T>(state_, Status::Cancelled("cancelled"), T{},
+                              [gate] { gate->CountCancelled(); });
   }
 
   /// Synchronous wrapper: pumps the runtime until the handle settles
@@ -335,10 +339,10 @@ class AsyncCommit {
 
   /// Settles every still-open phase with Cancelled (Phase I first).
   void Cancel() {
-    if (api_internal::SettleCommit(state_, /*phase2=*/true,
-                                   Status::Cancelled("cancelled"), Commit{})) {
-      state_->gate->CountCancelled();
-    }
+    api_internal::AsyncGate* gate = state_->gate;
+    api_internal::SettleCommit(state_, /*phase2=*/true,
+                               Status::Cancelled("cancelled"), Commit{},
+                               [gate] { gate->CountCancelled(); });
   }
 
   /// Synchronous wrappers over the phase completions (see CommitHandle).

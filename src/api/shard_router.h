@@ -143,6 +143,11 @@ class ShardRouter : public StoreBackend, public ShardMigrationHost {
               VerifierCache::Limits cache_unit, ReshardingConfig resharding,
               BalancerPolicy balancer = {});
 
+  /// Members are destroyed before inner_, but inner_'s workers may still
+  /// be running callbacks posted into coordinator_ and balancer_: stop
+  /// the runtime first, as Runtime::Shutdown requires.
+  ~ShardRouter() override { inner_->runtime().Shutdown(); }
+
   BackendKind kind() const override { return inner_->kind(); }
   void Start() override {
     inner_->Start();

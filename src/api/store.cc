@@ -245,11 +245,9 @@ std::shared_ptr<AsyncCommitState> IssueWrite(
       });
   if (opts.deadline > 0) {
     rt->ControlExecutor()->After(opts.deadline, [state, gate] {
-      if (SettleCommit(state, /*phase2=*/true,
-                       Status::DeadlineExceeded("async op deadline"),
-                       Commit{})) {
-        gate->CountDeadlineExpired();
-      }
+      SettleCommit(state, /*phase2=*/true,
+                   Status::DeadlineExceeded("async op deadline"), Commit{},
+                   [gate] { gate->CountDeadlineExpired(); });
     });
   }
   return state;
@@ -347,10 +345,8 @@ AsyncOp<T> IssueAsyncRead(const std::shared_ptr<StoreCore>& core,
   });
   if (opts.deadline > 0) {
     rt->ControlExecutor()->After(opts.deadline, [state, gate] {
-      if (SettleOp<T>(state, Status::DeadlineExceeded("async op deadline"),
-                      T{})) {
-        gate->CountDeadlineExpired();
-      }
+      SettleOp<T>(state, Status::DeadlineExceeded("async op deadline"), T{},
+                  [gate] { gate->CountDeadlineExpired(); });
     });
   }
   return AsyncOp<T>(core, state);

@@ -189,7 +189,7 @@ void CloudOnlyClient::Read(Key key, ReadCb cb) {
 }
 
 void CloudOnlyClient::Scan(Key lo, Key hi, ScanCb cb) {
-  ScanRequest req{next_req_++, lo, hi};
+  ScanRequest req{next_req_++, lo, hi, {}};
   pending_scans_[req.req_id] = std::move(cb);
   net_->Send(id(), server_, sealer_.Seal(server_, MsgType::kScanRequest, req.Encode()));
 }

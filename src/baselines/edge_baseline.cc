@@ -362,13 +362,13 @@ void EbClient::ReadBlock(BlockId bid, ReadBlockCb cb) {
 }
 
 void EbClient::Get(Key key, GetCb cb) {
-  GetRequest req{next_req_++, key};
+  GetRequest req{next_req_++, key, {}};
   pending_gets_[req.req_id] = {key, std::move(cb)};
   net_->Send(id(), edge_, sealer_.Seal(edge_, MsgType::kGetRequest, req.Encode()));
 }
 
 void EbClient::Scan(Key lo, Key hi, ScanCb cb) {
-  ScanRequest req{next_req_++, lo, hi};
+  ScanRequest req{next_req_++, lo, hi, {}};
   pending_scans_[req.req_id] = {lo, hi, std::move(cb)};
   net_->Send(id(), edge_, sealer_.Seal(edge_, MsgType::kScanRequest, req.Encode()));
 }

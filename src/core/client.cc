@@ -95,6 +95,15 @@ void WedgeClient::ReadBlock(BlockId bid, ReadCb cb) {
   SendSealed(edge_, MsgType::kReadRequest, req.Encode());
 }
 
+std::vector<BlockRef> WedgeClient::PinHeldBlocks(HeldEntries* pinned) {
+  if (!config_.verify_cache) return {};
+  *pinned = verifier_cache_.HeldBlocks(edge_, held_floor_, kMaxHeldBlocks);
+  std::vector<BlockRef> held;
+  held.reserve(pinned->size());
+  for (const auto& e : *pinned) held.push_back({e->block->id, e->digest});
+  return held;
+}
+
 void WedgeClient::Get(Key key, GetCb cb) {
   GetRequest req;
   req.req_id = next_req_id_++;
@@ -103,6 +112,7 @@ void WedgeClient::Get(Key key, GetCb cb) {
   pending.sent_at = exec_->Now();
   pending.key = key;
   pending.cb = std::move(cb);
+  req.held = PinHeldBlocks(&pending.held);
   pending_gets_.emplace(req.req_id, std::move(pending));
   SendSealed(edge_, MsgType::kGetRequest, req.Encode());
 }
@@ -131,6 +141,7 @@ void WedgeClient::Scan(Key lo, Key hi, ScanCb cb) {
   pending.lo = lo;
   pending.hi = hi;
   pending.cb = std::move(cb);
+  req.held = PinHeldBlocks(&pending.held);
   pending_scans_.emplace(req.req_id, std::move(pending));
   SendSealed(edge_, MsgType::kScanRequest, req.Encode());
 }
@@ -154,6 +165,7 @@ void WedgeClient::OnMessage(NodeId from, Slice payload, SimTime now) {
       HandleReadResponse(from, *env, now);
       break;
     case MsgType::kGetResponse:
+      if (from != edge_) break;
       HandleGetResponse(*env, now);
       break;
     case MsgType::kCloudGetResponse:
@@ -161,6 +173,7 @@ void WedgeClient::OnMessage(NodeId from, Slice payload, SimTime now) {
       HandleCloudGetResponse(*env, now);
       break;
     case MsgType::kScanResponse:
+      if (from != edge_) break;
       HandleScanResponse(*env, now);
       break;
     case MsgType::kGossip: {
@@ -465,6 +478,25 @@ Status WedgeClient::CheckSnapshotMonotonic(Epoch epoch) {
   return Status::OK();
 }
 
+Status WedgeClient::ResolveHeldRefs(
+    const HeldEntries& held, const std::vector<std::optional<BlockRef>>& refs,
+    std::vector<std::shared_ptr<const Block>>* blocks) {
+  auto resolved = VerifierCache::ResolveHeldRefs(held, refs, blocks);
+  if (!resolved.ok()) return resolved.status();
+  stats_.l0_refs_resolved += *resolved;
+  return Status::OK();
+}
+
+void WedgeClient::AdvanceHeldFloor(
+    const std::vector<std::shared_ptr<const Block>>& l0_blocks) {
+  if (l0_blocks.empty()) {
+    held_floor_ = std::max(held_floor_, l0_end_);
+    return;
+  }
+  held_floor_ = std::max(held_floor_, l0_blocks.front()->id);
+  l0_end_ = std::max(l0_end_, l0_blocks.back()->id + 1);
+}
+
 void WedgeClient::HandleScanResponse(const Envelope& env, SimTime now) {
   auto resp = ScanResponse::Decode(env.body);
   if (!resp.ok()) return;
@@ -478,10 +510,16 @@ void WedgeClient::HandleScanResponse(const Envelope& env, SimTime now) {
   opts.now = now;
   opts.freshness_window = config_.freshness_window;
   opts.cache = config_.verify_cache ? &verifier_cache_ : nullptr;
-  auto verified = VerifyScanResponse(*keystore_, edge_, pending.lo,
-                                     pending.hi, resp->body, opts);
+  ScanResponseBody& body = resp->body;
+  const Status resolved =
+      ResolveHeldRefs(pending.held, body.l0_refs, &body.l0_blocks);
+  Result<VerifiedScan> verified =
+      resolved.ok() ? VerifyScanResponse(*keystore_, edge_, pending.lo,
+                                         pending.hi, body, opts)
+                    : Result<VerifiedScan>(resolved);
   ScanCb cb = pending.cb;
   if (verified.ok()) {
+    AdvanceHeldFloor(body.l0_blocks);
     const Epoch epoch = resp->body.root_cert.has_value()
                             ? resp->body.root_cert->epoch
                             : 0;
@@ -501,10 +539,20 @@ void WedgeClient::HandleScanResponse(const Envelope& env, SimTime now) {
       stats_.stale_rejected++;
     } else {
       stats_.verification_failures++;
-      // The signed response is self-convicting evidence: the cloud can
-      // re-run the completeness verifier on it (the dispute pattern of
-      // paper section IV-E, extended to scans).
-      RaiseDispute(DisputeKind::kScanTruncation, 0, env.raw);
+      // The signed response, plus the held blocks its references name,
+      // is self-convicting evidence: the cloud can re-run the
+      // completeness verifier on it (the dispute pattern of paper
+      // section IV-E, extended to scans). A reference the client could
+      // not resolve goes without its block; the cloud sets that slot
+      // aside and still convicts on what the rest proves.
+      std::vector<Block> referenced;
+      for (size_t i = 0; i < body.l0_refs.size(); ++i) {
+        if (body.l0_refs[i] && body.l0_blocks[i] != nullptr) {
+          referenced.push_back(*body.l0_blocks[i]);
+        }
+      }
+      RaiseDispute(DisputeKind::kScanTruncation, 0, env.raw,
+                   std::move(referenced));
     }
     Status st = verified.status();
     exec_->Charge(costs_.client_verify_read, [cb, st, verified_at] {
@@ -526,10 +574,16 @@ void WedgeClient::HandleGetResponse(const Envelope& env, SimTime now) {
   opts.now = now;
   opts.freshness_window = config_.freshness_window;
   opts.cache = config_.verify_cache ? &verifier_cache_ : nullptr;
-  auto verified =
-      VerifyGetResponse(*keystore_, edge_, pending.key, resp->body, opts);
+  GetResponseBody& body = resp->body;
+  const Status resolved =
+      ResolveHeldRefs(pending.held, body.l0_refs, &body.l0_blocks);
+  Result<VerifiedGet> verified =
+      resolved.ok()
+          ? VerifyGetResponse(*keystore_, edge_, pending.key, body, opts)
+          : Result<VerifiedGet>(resolved);
   GetCb cb = pending.cb;
   if (verified.ok()) {
+    AdvanceHeldFloor(body.l0_blocks);
     const Epoch epoch = resp->body.root_cert.has_value()
                             ? resp->body.root_cert->epoch
                             : 0;
@@ -621,16 +675,19 @@ ClientStats& ClientStats::operator+=(const ClientStats& other) {
   verification_failures += other.verification_failures;
   stale_rejected += other.stale_rejected;
   snapshot_regressions += other.snapshot_regressions;
+  l0_refs_resolved += other.l0_refs_resolved;
   return *this;
 }
 
-void WedgeClient::RaiseDispute(DisputeKind kind, BlockId bid, Bytes evidence) {
+void WedgeClient::RaiseDispute(DisputeKind kind, BlockId bid, Bytes evidence,
+                               std::vector<Block> blocks) {
   stats_.disputes_sent++;
   Dispute d;
   d.kind = kind;
   d.edge = edge_;
   d.bid = bid;
   d.evidence = std::move(evidence);
+  d.blocks = std::move(blocks);
   SendSealed(cloud_, MsgType::kDispute, d.Encode());
 }
 

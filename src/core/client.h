@@ -41,6 +41,9 @@ struct ClientStats {
   /// Responses anchored to an older certified epoch than one already
   /// observed (monotonic_snapshots session check, §V-D alternative).
   uint64_t snapshot_regressions = 0;
+  /// L0 slots of get and scan replies the edge sent as references and
+  /// this client filled in from its verifier cache.
+  uint64_t l0_refs_resolved = 0;
 
   /// Accumulates another client's counters — the aggregation a sharded
   /// deployment needs, where one logical client is backed by a physical
@@ -166,10 +169,15 @@ class WedgeClient : public Endpoint {
     Block block;
     Bytes evidence;
   };
+  /// Cache entries a get or scan listed as held, pinned until its reply
+  /// is verified.
+  using HeldEntries = std::vector<std::shared_ptr<VerifierCache::BlockEntry>>;
+
   struct PendingGet {
     SimTime sent_at = 0;
     Key key = 0;
     GetCb cb;
+    HeldEntries held;
   };
   struct PendingCloudGet {
     SimTime sent_at = 0;
@@ -184,6 +192,7 @@ class WedgeClient : public Endpoint {
     Key lo = 0;
     Key hi = 0;
     ScanCb cb;
+    HeldEntries held;
   };
   struct PendingReserve {
     Bytes payload;
@@ -205,8 +214,20 @@ class WedgeClient : public Endpoint {
   void HandleGetResponse(const Envelope& env, SimTime now);
   void HandleCloudGetResponse(const Envelope& env, SimTime now);
   void HandleScanResponse(const Envelope& env, SimTime now);
+  /// Pins the cached blocks of edge_ not yet known merged, newest first
+  /// and capped at kMaxHeldBlocks, and returns their held-list entries.
+  std::vector<BlockRef> PinHeldBlocks(HeldEntries* pinned);
+  /// The resolve step shared by get and scan replies: fills the
+  /// reference slots from the request's pinned entries.
+  Status ResolveHeldRefs(const HeldEntries& held,
+                         const std::vector<std::optional<BlockRef>>& refs,
+                         std::vector<std::shared_ptr<const Block>>* blocks);
+  /// Advances the held floor past blocks a verified reply shows merged.
+  void AdvanceHeldFloor(
+      const std::vector<std::shared_ptr<const Block>>& l0_blocks);
   void ArmProofTimeout(SeqNum req_id, BlockId bid);
-  void RaiseDispute(DisputeKind kind, BlockId bid, Bytes evidence);
+  void RaiseDispute(DisputeKind kind, BlockId bid, Bytes evidence,
+                    std::vector<Block> blocks = {});
 
   void SendSealed(NodeId to, MsgType type, Bytes body);
 
@@ -246,6 +267,13 @@ class WedgeClient : public Endpoint {
   /// Highest certified LSMerkle epoch observed in any verified get/scan
   /// (session state for the monotonic_snapshots check).
   Epoch last_snapshot_epoch_ = 0;
+
+  /// Held-list floor: cached blocks below it are known merged out of L0
+  /// and are not listed. It is the first L0 bid of the newest verified
+  /// reply, or, after a reply with an empty L0, one past every L0 bid
+  /// seen so far (`l0_end_`). Monotonic.
+  BlockId held_floor_ = 0;
+  BlockId l0_end_ = 0;
 
   /// Applies the session-consistency check to a verified response
   /// anchored at `epoch`; OK (and advances the watermark) unless the

@@ -321,6 +321,28 @@ void CloudNode::HandleMergeRequest(NodeId edge, const MergeRequest& msg,
   SendSealed(edge, MsgType::kMergeResponse, resp.Encode());
 }
 
+namespace {
+
+/// Fills each reference slot of a disputed scan response with a supplied
+/// block whose digest equals the one the edge sealed. A reference with
+/// no such block stays unresolved.
+void ResolveSuppliedRefs(const std::vector<Block>& supplied,
+                         ScanResponseBody* body) {
+  const std::vector<Digest256> digests = Block::DigestMany(supplied);
+  for (size_t i = 0; i < body->l0_refs.size(); ++i) {
+    if (!body->l0_refs[i]) continue;
+    const BlockRef& ref = *body->l0_refs[i];
+    for (size_t j = 0; j < supplied.size(); ++j) {
+      if (supplied[j].id == ref.bid && digests[j].CryptoEquals(ref.digest)) {
+        body->l0_blocks[i] = std::make_shared<const Block>(supplied[j]);
+        break;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void CloudNode::HandleDispute(NodeId client, const Dispute& msg,
                               SimTime now) {
   stats_.disputes_received++;
@@ -369,15 +391,21 @@ void CloudNode::HandleDispute(NodeId client, const Dispute& msg,
         break;
       }
       case DisputeKind::kScanTruncation: {
-        // Self-contained evidence: re-run the completeness verifier on
-        // the edge's own signed scan response. Only a genuine
-        // inconsistency (never mere Phase-I-ness or staleness) verdicts
-        // as SecurityViolation.
+        // Re-run the completeness verifier on the edge's own signed scan
+        // response, its reference slots filled from the supplied blocks.
+        // A reference no supplied block fills is set aside: the verdict
+        // then rests on the checks its content cannot change. Only a
+        // genuine inconsistency (never mere Phase-I-ness or staleness,
+        // never an unresolvable reference alone) verdicts as
+        // SecurityViolation.
         auto resp = ScanResponse::Decode(env->body);
         if (resp.ok() && env->type == MsgType::kScanResponse) {
+          ResolveSuppliedRefs(msg.blocks, &resp->body);
+          GetVerifyOptions opts;
+          opts.set_aside_unresolved = true;
           auto reverify =
               VerifyScanResponse(*keystore_, msg.edge, resp->body.lo,
-                                 resp->body.hi, resp->body);
+                                 resp->body.hi, resp->body, opts);
           if (!reverify.ok() &&
               reverify.status().IsSecurityViolation()) {
             verdict.edge_guilty = true;

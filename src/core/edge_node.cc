@@ -203,6 +203,9 @@ void EdgeNode::FinishBlock(Block block, bool is_kv, SimTime now) {
   if (auto st = lsm_.ApplyBlock(block); !st.ok()) {
     WLOG_WARN << "edge " << id() << ": apply block failed: " << st;
   }
+  // ApplyBlock hashed the block for L0's digest memo; certification
+  // reuses that one hash.
+  const Digest256 digest = lsm_.l0_units().back().digest;
 
   // Group the contributions by client (a client may have several entries
   // and several requests in the block) and send each client the signed
@@ -240,23 +243,21 @@ void EdgeNode::FinishBlock(Block block, bool is_kv, SimTime now) {
   }
 
   // Background: lazy (asynchronous) certification — digest only.
-  Digest256 digest;
+  Digest256 certified = digest;
   if (misbehavior_.certify_tampered) {
     Block tampered = block;
     if (!tampered.entries.empty()) tampered.entries[0].payload.push_back(0xbb);
-    digest = tampered.Digest();
-  } else {
-    digest = block.Digest();
+    certified = tampered.Digest();
   }
   if (!misbehavior_.drop_certifies) {
     const SimTime cost = costs_.EdgeCert(block.ByteSize());
     std::optional<Block> full;
     if (config_.ship_full_blocks) full = block;
-    pending_certify_[bid] = PendingCertify{digest, is_kv};
-    bg_->Execute(cost, [this, bid, digest, is_kv, full = std::move(full)] {
+    pending_certify_[bid] = PendingCertify{certified, is_kv};
+    bg_->Execute(cost, [this, bid, certified, is_kv, full = std::move(full)] {
       BlockCertify msg;
       msg.bid = bid;
-      msg.digest = digest;
+      msg.digest = certified;
       msg.is_kv = is_kv;
       msg.full_block = full;
       SendSealed(cloud_, MsgType::kBlockCertify, msg.Encode());
@@ -301,14 +302,32 @@ void EdgeNode::HandleRead(NodeId from, const ReadRequest& req, SimTime now) {
   (void)now;
 }
 
+namespace {
+
+/// The request's held hint, capped at the protocol limit.
+std::span<const BlockRef> HeldHint(const std::vector<BlockRef>& held) {
+  return std::span<const BlockRef>(held).first(
+      std::min(held.size(), kMaxHeldBlocks));
+}
+
+}  // namespace
+
+void EdgeNode::CountL0Slots(const std::vector<std::optional<BlockRef>>& refs) {
+  const auto n = static_cast<uint64_t>(std::count_if(
+      refs.begin(), refs.end(), [](const auto& r) { return r.has_value(); }));
+  stats_.l0_refs_sent += n;
+  stats_.l0_blocks_sent += refs.size() - n;
+}
+
 void EdgeNode::HandleGet(NodeId from, const GetRequest& req, SimTime now) {
   stats_.gets_served++;
   GetResponse resp;
   resp.req_id = req.req_id;
-  resp.body = AssembleGetResponse(req.key);
+  resp.body = AssembleGetResponse(req.key, HeldHint(req.held));
   if (misbehavior_.tamper_get_value && resp.body.found) {
     resp.body.value.push_back(0xdd);
   }
+  CountL0Slots(resp.body.l0_refs);
   SendSealed(from, MsgType::kGetResponse, resp.Encode());
   (void)now;
 }
@@ -317,14 +336,13 @@ void EdgeNode::HandleScan(NodeId from, const ScanRequest& req, SimTime now) {
   stats_.scans_served++;
   ScanResponse resp;
   resp.req_id = req.req_id;
-  if (misbehavior_.rollback_snapshot && rollback_state_.has_value()) {
-    resp.body = AssembleScanResponse(rollback_state_->first,
-                                     rollback_state_->second, req.lo, req.hi,
-                                     misbehavior_.truncate_scans);
-  } else {
-    resp.body = AssembleScanResponse(lsm_, log_, req.lo, req.hi,
-                                     misbehavior_.truncate_scans);
-  }
+  const bool rollback =
+      misbehavior_.rollback_snapshot && rollback_state_.has_value();
+  resp.body = AssembleScanResponse(
+      rollback ? rollback_state_->first : lsm_,
+      rollback ? rollback_state_->second : log_, req.lo, req.hi,
+      misbehavior_.truncate_scans, HeldHint(req.held));
+  CountL0Slots(resp.body.l0_refs);
   SendSealed(from, MsgType::kScanResponse, resp.Encode());
   (void)now;
 }
@@ -344,14 +362,15 @@ void EdgeNode::CaptureRollbackSnapshot() {
   rollback_state_.emplace(lsm_, log_);
 }
 
-GetResponseBody EdgeNode::AssembleGetResponse(Key key) const {
+GetResponseBody EdgeNode::AssembleGetResponse(
+    Key key, std::span<const BlockRef> held) const {
   if (misbehavior_.rollback_snapshot && rollback_state_.has_value()) {
     return wedge::AssembleGetResponse(rollback_state_->first,
                                       rollback_state_->second, key,
-                                      misbehavior_.serve_stale_gets);
+                                      misbehavior_.serve_stale_gets, held);
   }
   return wedge::AssembleGetResponse(lsm_, log_, key,
-                                    misbehavior_.serve_stale_gets);
+                                    misbehavior_.serve_stale_gets, held);
 }
 
 void EdgeNode::HandleBlockProof(const BlockProof& proof, SimTime now) {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +50,10 @@ struct EdgeStats {
   uint64_t add_responses_sent = 0;
   /// Block-proofs forwarded to clients: one per (client, block).
   uint64_t proofs_forwarded = 0;
+  /// L0 slots of get and scan replies sent as references (the client
+  /// listed the block as held) and in full.
+  uint64_t l0_refs_sent = 0;
+  uint64_t l0_blocks_sent = 0;
   uint64_t merges_completed = 0;
   uint64_t noop_merges = 0;
   uint64_t reservation_misses = 0;
@@ -144,7 +149,9 @@ class EdgeNode : public Endpoint {
   void ScheduleCertifyRetry();
   void ResendPendingCertifies();
 
-  GetResponseBody AssembleGetResponse(Key key) const;
+  GetResponseBody AssembleGetResponse(Key key,
+                                      std::span<const BlockRef> held) const;
+  void CountL0Slots(const std::vector<std::optional<BlockRef>>& refs);
 
   void SendSealed(NodeId to, MsgType type, Bytes body);
 

@@ -1,12 +1,35 @@
 #include "core/read_service.h"
 
+#include <algorithm>
 #include <map>
 
 namespace wedge {
 
+namespace {
+
+/// Emits one slot per L0 block, with its certificate: a reference when
+/// `held` names the block by bid and digest, else the block itself
+/// (shared from the tree, not copied, until encoded onto the wire).
+template <typename Body>
+void AddL0Slots(const LsmerkleTree& lsm, const EdgeLog& log,
+                std::span<const BlockRef> held, Body* body) {
+  for (const L0Unit& unit : lsm.l0_units()) {
+    const BlockRef ref{unit.block->id, unit.digest};
+    const bool is_held =
+        std::find(held.begin(), held.end(), ref) != held.end();
+    body->l0_blocks.push_back(is_held ? nullptr : unit.block);
+    body->l0_refs.push_back(is_held ? std::optional<BlockRef>(ref)
+                                    : std::nullopt);
+    body->l0_certs.push_back(log.GetCertificate(unit.block->id));
+  }
+}
+
+}  // namespace
+
 GetResponseBody AssembleGetResponse(const LsmerkleTree& lsm,
                                     const EdgeLog& log, Key key,
-                                    bool hide_l0) {
+                                    bool hide_l0,
+                                    std::span<const BlockRef> held) {
   GetResponseBody body;
   body.key = key;
 
@@ -35,14 +58,7 @@ GetResponseBody AssembleGetResponse(const LsmerkleTree& lsm,
     body.version = r.pair.version;
   }
 
-  if (!hide_l0) {
-    // Blocks are shared from the tree, not copied: the response only
-    // holds references until it is encoded onto the wire.
-    for (const auto& unit : lsm.l0_units()) {
-      body.l0_blocks.push_back(unit.block);
-      body.l0_certs.push_back(log.GetCertificate(unit.block->id));
-    }
-  }
+  if (!hide_l0) AddL0Slots(lsm, log, held, &body);
 
   const uint32_t deepest =
       r.found ? r.level : static_cast<uint32_t>(lsm.level_count() - 1);
@@ -64,17 +80,17 @@ GetResponseBody AssembleGetResponse(const LsmerkleTree& lsm,
 
 ScanResponseBody AssembleScanResponse(const LsmerkleTree& lsm,
                                       const EdgeLog& log, Key lo, Key hi,
-                                      bool drop_last_run_page) {
+                                      bool drop_last_run_page,
+                                      std::span<const BlockRef> held) {
   ScanResponseBody body;
   body.lo = lo;
   body.hi = hi;
 
-  // Evidence: every L0 block (any may hold range keys), plus per level
-  // the adjacent page run covering [lo, hi].
+  // Evidence: a slot per L0 block (any may hold range keys), plus per
+  // level the adjacent page run covering [lo, hi].
+  AddL0Slots(lsm, log, held, &body);
   std::map<Key, KvPair> newest;
   for (const auto& unit : lsm.l0_units()) {
-    body.l0_blocks.push_back(unit.block);
-    body.l0_certs.push_back(log.GetCertificate(unit.block->id));
     for (const KvPair& kv : unit.pairs) {
       if (kv.key < lo || kv.key > hi) continue;
       auto it = newest.find(kv.key);

@@ -120,4 +120,27 @@ struct Block {
   }
 };
 
+/// A block named by id and digest instead of its bytes: an entry of a
+/// read request's held list, and a reply slot standing in for a block
+/// the client listed. The digest pins the content, since a bid alone can
+/// name different blocks across an edge crash.
+struct BlockRef {
+  BlockId bid = 0;
+  Digest256 digest;
+
+  void EncodeTo(Encoder* enc) const {
+    enc->PutU64(bid);
+    digest.EncodeTo(enc);
+  }
+  static Result<BlockRef> DecodeFrom(Decoder* dec) {
+    BlockRef r;
+    WEDGE_ASSIGN_OR_RETURN(r.bid, dec->GetU64());
+    WEDGE_ASSIGN_OR_RETURN(r.digest, Digest256::DecodeFrom(dec));
+    return r;
+  }
+  bool operator==(const BlockRef& o) const {
+    return bid == o.bid && digest == o.digest;
+  }
+};
+
 }  // namespace wedge

@@ -15,6 +15,7 @@ Status LsmerkleTree::ApplyBlock(Block block) {
   // id stream contiguous — read proofs depend on that even for logs
   // that interleave puts and appends.
   L0Unit unit;
+  unit.digest = block.Digest();
   unit.pairs = ExtractKvPairs(block);
   unit.block = std::make_shared<const Block>(std::move(block));
   unit.newest.reserve(unit.pairs.size());

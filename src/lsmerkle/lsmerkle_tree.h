@@ -34,9 +34,12 @@ struct LsmConfig {
 /// A block sitting in L0 along with its extracted put operations. The
 /// block is shared (immutable once applied) so read responses reference
 /// it instead of copying it; `newest` indexes the newest pair per key,
-/// making point lookups a hash probe instead of a linear scan.
+/// making point lookups a hash probe instead of a linear scan. `digest`
+/// is the block's own digest, memoized when it enters L0: a read reply
+/// sends the slot as a reference when the client holds this exact block.
 struct L0Unit {
   std::shared_ptr<const Block> block;
+  Digest256 digest;
   std::vector<KvPair> pairs;               // apply order
   std::unordered_map<Key, uint32_t> newest;  // key -> index into `pairs`
 };

@@ -22,19 +22,65 @@ Result<GetLevelPart> GetLevelPart::DecodeFrom(Decoder* dec) {
   return part;
 }
 
+void EncodeL0Slots(Encoder* enc,
+                   const std::vector<std::shared_ptr<const Block>>& blocks,
+                   const std::vector<std::optional<BlockCertificate>>& certs,
+                   const std::vector<std::optional<BlockRef>>& refs) {
+  enc->PutU32(static_cast<uint32_t>(blocks.size()));
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const bool is_ref = i < refs.size() && refs[i].has_value();
+    enc->PutBool(is_ref);
+    if (is_ref) {
+      refs[i]->EncodeTo(enc);
+    } else {
+      blocks[i]->EncodeTo(enc);
+    }
+    const bool has_cert = i < certs.size() && certs[i].has_value();
+    enc->PutBool(has_cert);
+    if (has_cert) certs[i]->EncodeTo(enc);
+  }
+}
+
+Status DecodeL0Slots(Decoder* dec,
+                     std::vector<std::shared_ptr<const Block>>* blocks,
+                     std::vector<std::optional<BlockCertificate>>* certs,
+                     std::vector<std::optional<BlockRef>>* refs) {
+  uint32_t n = 0;
+  WEDGE_ASSIGN_OR_RETURN(n, dec->GetU32());
+  for (uint32_t i = 0; i < n; ++i) {
+    bool is_ref = false;
+    WEDGE_ASSIGN_OR_RETURN(is_ref, dec->GetBool());
+    if (is_ref) {
+      auto ref = BlockRef::DecodeFrom(dec);
+      if (!ref.ok()) return ref.status();
+      blocks->push_back(nullptr);
+      refs->push_back(*ref);
+    } else {
+      auto blk = Block::DecodeFrom(dec);
+      if (!blk.ok()) return blk.status();
+      blocks->push_back(std::make_shared<const Block>(std::move(*blk)));
+      refs->emplace_back(std::nullopt);
+    }
+    bool has_cert = false;
+    WEDGE_ASSIGN_OR_RETURN(has_cert, dec->GetBool());
+    if (has_cert) {
+      auto cert = BlockCertificate::DecodeFrom(dec);
+      if (!cert.ok()) return cert.status();
+      certs->push_back(std::move(*cert));
+    } else {
+      certs->emplace_back(std::nullopt);
+    }
+  }
+  return Status::OK();
+}
+
 void GetResponseBody::EncodeTo(Encoder* enc) const {
   enc->PutU64(key);
   enc->PutBool(found);
   enc->PutU32(found_level);
   enc->PutBytes(value);
   enc->PutU64(version);
-  enc->PutU32(static_cast<uint32_t>(l0_blocks.size()));
-  for (size_t i = 0; i < l0_blocks.size(); ++i) {
-    l0_blocks[i]->EncodeTo(enc);
-    const bool has_cert = i < l0_certs.size() && l0_certs[i].has_value();
-    enc->PutBool(has_cert);
-    if (has_cert) l0_certs[i]->EncodeTo(enc);
-  }
+  EncodeL0Slots(enc, l0_blocks, l0_certs, l0_refs);
   enc->PutU32(static_cast<uint32_t>(parts.size()));
   for (const auto& p : parts) p.EncodeTo(enc);
   enc->PutU32(static_cast<uint32_t>(level_roots.size()));
@@ -50,22 +96,8 @@ Result<GetResponseBody> GetResponseBody::DecodeFrom(Decoder* dec) {
   WEDGE_ASSIGN_OR_RETURN(b.found_level, dec->GetU32());
   WEDGE_ASSIGN_OR_RETURN(b.value, dec->GetBytes());
   WEDGE_ASSIGN_OR_RETURN(b.version, dec->GetU64());
-  uint32_t nblocks = 0;
-  WEDGE_ASSIGN_OR_RETURN(nblocks, dec->GetU32());
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    auto blk = Block::DecodeFrom(dec);
-    if (!blk.ok()) return blk.status();
-    b.l0_blocks.push_back(std::make_shared<const Block>(std::move(*blk)));
-    bool has_cert = false;
-    WEDGE_ASSIGN_OR_RETURN(has_cert, dec->GetBool());
-    if (has_cert) {
-      auto cert = BlockCertificate::DecodeFrom(dec);
-      if (!cert.ok()) return cert.status();
-      b.l0_certs.push_back(std::move(*cert));
-    } else {
-      b.l0_certs.emplace_back(std::nullopt);
-    }
-  }
+  WEDGE_RETURN_NOT_OK(
+      DecodeL0Slots(dec, &b.l0_blocks, &b.l0_certs, &b.l0_refs));
   uint32_t nparts = 0;
   WEDGE_ASSIGN_OR_RETURN(nparts, dec->GetU32());
   for (uint32_t i = 0; i < nparts; ++i) {
@@ -88,19 +120,6 @@ Result<GetResponseBody> GetResponseBody::DecodeFrom(Decoder* dec) {
     b.root_cert = std::move(*cert);
   }
   return b;
-}
-
-size_t GetResponseBody::ByteSize() const {
-  size_t sz = 8 + 1 + 4 + 4 + value.size() + 8;
-  for (const auto& blk : l0_blocks) sz += blk->ByteSize() + 1;
-  for (const auto& c : l0_certs) {
-    if (c.has_value()) sz += 96;
-  }
-  for (const auto& p : parts) {
-    sz += 4 + p.page->ByteSize() + p.proof.ByteSize();
-  }
-  sz += 4 + level_roots.size() * 32 + 1 + (root_cert.has_value() ? 96 : 0);
-  return sz;
 }
 
 namespace {
@@ -148,6 +167,9 @@ Result<VerifiedGet> VerifyGetResponse(const KeyStore& keystore, NodeId edge,
   }
   bool all_l0_certified = true;
   for (size_t i = 0; i < resp.l0_blocks.size(); ++i) {
+    if (resp.l0_blocks[i] == nullptr) {
+      return Violation("unresolved L0 block reference");
+    }
     if (i > 0 && resp.l0_blocks[i]->id != resp.l0_blocks[i - 1]->id + 1) {
       return Violation("L0 block ids are not contiguous");
     }

@@ -4,8 +4,11 @@
 // A get response carries everything a client needs to check — against
 // cloud-signed roots only — that the returned value is the newest version
 // in the snapshot:
-//   - all L0 blocks (any of them may hold a newer version), with their
-//     block certificates where available (Phase I reads may lack some);
+//   - every L0 block (any of them may hold a newer version), with its
+//     block certificate where available (Phase I reads may lack some).
+//     A block the client listed as held goes as a reference (bid +
+//     digest) instead of its bytes; the client fills it in from its
+//     cache before verifying;
 //   - for each level between 1 and the level of the hit (all levels on a
 //     miss), the unique page whose range covers the key plus its Merkle
 //     membership proof against the level root;
@@ -67,12 +70,16 @@ struct GetResponseBody {
   Bytes value;        // claimed value (empty when !found)
   uint64_t version = 0;
 
-  /// All L0 blocks, oldest first, with optional certificates (parallel
-  /// vector; an empty optional means the block is only Phase I
-  /// committed). Shared, never null: the edge aliases its log blocks
-  /// instead of copying them into every response.
+  /// One slot per L0 block, oldest first, with optional certificates
+  /// (parallel vector; an empty optional means the block is only Phase I
+  /// committed). Shared: the edge aliases its log blocks instead of
+  /// copying them into every response. A slot sent as a reference has a
+  /// null block and its `l0_refs` entry set, until the client resolves
+  /// it from its cache; the verifier rejects any slot left null.
   std::vector<std::shared_ptr<const Block>> l0_blocks;
   std::vector<std::optional<BlockCertificate>> l0_certs;
+  /// Parallel to l0_blocks (or empty: no references).
+  std::vector<std::optional<BlockRef>> l0_refs;
 
   /// Intersecting page per level (1..found_level, or all non-empty levels
   /// on a miss).
@@ -86,8 +93,19 @@ struct GetResponseBody {
 
   void EncodeTo(Encoder* enc) const;
   static Result<GetResponseBody> DecodeFrom(Decoder* dec);
-  size_t ByteSize() const;
 };
+
+/// Codec of the L0 slot list shared by get and scan bodies: a u32
+/// count, then per slot a kind byte (0 block, 1 reference), the block
+/// or its reference, and the optional certificate.
+void EncodeL0Slots(Encoder* enc,
+                   const std::vector<std::shared_ptr<const Block>>& blocks,
+                   const std::vector<std::optional<BlockCertificate>>& certs,
+                   const std::vector<std::optional<BlockRef>>& refs);
+Status DecodeL0Slots(Decoder* dec,
+                     std::vector<std::shared_ptr<const Block>>* blocks,
+                     std::vector<std::optional<BlockCertificate>>* certs,
+                     std::vector<std::optional<BlockRef>>* refs);
 
 struct GetVerifyOptions {
   /// Client's current time, for the freshness check.
@@ -100,6 +118,13 @@ struct GetVerifyOptions {
   /// verified (by content) are not re-verified. Freshness and snapshot
   /// checks are unaffected. See lsmerkle/verifier_cache.h.
   VerifierCache* cache = nullptr;
+  /// Scans only, for the cloud's dispute check: a reference slot left
+  /// unresolved is set aside instead of rejected. Its bid still counts
+  /// for contiguity, its content for nothing. Every other check runs,
+  /// and every key the rest of the evidence holds must be claimed (a
+  /// block can replace a key's pair, never remove the key). When all of
+  /// that holds, the result is NotFound: the claim stays unchecked.
+  bool set_aside_unresolved = false;
 };
 
 /// Outcome of verifying a get response.

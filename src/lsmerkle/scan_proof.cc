@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "lsmerkle/merge.h"
 #include "lsmerkle/verifier_cache.h"
@@ -43,13 +44,7 @@ void ScanResponseBody::EncodeTo(Encoder* enc) const {
   enc->PutU64(hi);
   enc->PutU32(static_cast<uint32_t>(pairs.size()));
   for (const KvPair& p : pairs) p.EncodeTo(enc);
-  enc->PutU32(static_cast<uint32_t>(l0_blocks.size()));
-  for (size_t i = 0; i < l0_blocks.size(); ++i) {
-    l0_blocks[i]->EncodeTo(enc);
-    const bool has_cert = i < l0_certs.size() && l0_certs[i].has_value();
-    enc->PutBool(has_cert);
-    if (has_cert) l0_certs[i]->EncodeTo(enc);
-  }
+  EncodeL0Slots(enc, l0_blocks, l0_certs, l0_refs);
   enc->PutU32(static_cast<uint32_t>(runs.size()));
   for (const auto& r : runs) r.EncodeTo(enc);
   enc->PutU32(static_cast<uint32_t>(level_roots.size()));
@@ -70,22 +65,8 @@ Result<ScanResponseBody> ScanResponseBody::DecodeFrom(Decoder* dec) {
     if (!p.ok()) return p.status();
     b.pairs.push_back(std::move(*p));
   }
-  uint32_t nblocks = 0;
-  WEDGE_ASSIGN_OR_RETURN(nblocks, dec->GetU32());
-  for (uint32_t i = 0; i < nblocks; ++i) {
-    auto blk = Block::DecodeFrom(dec);
-    if (!blk.ok()) return blk.status();
-    b.l0_blocks.push_back(std::make_shared<const Block>(std::move(*blk)));
-    bool has_cert = false;
-    WEDGE_ASSIGN_OR_RETURN(has_cert, dec->GetBool());
-    if (has_cert) {
-      auto cert = BlockCertificate::DecodeFrom(dec);
-      if (!cert.ok()) return cert.status();
-      b.l0_certs.push_back(std::move(*cert));
-    } else {
-      b.l0_certs.emplace_back(std::nullopt);
-    }
-  }
+  WEDGE_RETURN_NOT_OK(
+      DecodeL0Slots(dec, &b.l0_blocks, &b.l0_certs, &b.l0_refs));
   uint32_t nruns = 0;
   WEDGE_ASSIGN_OR_RETURN(nruns, dec->GetU32());
   for (uint32_t i = 0; i < nruns; ++i) {
@@ -108,22 +89,6 @@ Result<ScanResponseBody> ScanResponseBody::DecodeFrom(Decoder* dec) {
     b.root_cert = std::move(*cert);
   }
   return b;
-}
-
-size_t ScanResponseBody::ByteSize() const {
-  size_t sz = 8 + 8 + 4;
-  for (const auto& p : pairs) sz += p.ByteSize();
-  for (const auto& blk : l0_blocks) sz += blk->ByteSize() + 1;
-  for (const auto& c : l0_certs) {
-    if (c.has_value()) sz += 96;
-  }
-  for (const auto& run : runs) {
-    sz += 8;
-    for (const auto& p : run.pages) sz += p->ByteSize();
-    for (const auto& p : run.proofs) sz += p.ByteSize();
-  }
-  sz += 4 + level_roots.size() * 32 + 1 + (root_cert.has_value() ? 96 : 0);
-  return sz;
 }
 
 namespace {
@@ -171,24 +136,53 @@ Result<VerifiedScan> VerifyScanResponse(const KeyStore& keystore, NodeId edge,
     return Violation("l0 certificate vector size mismatch");
   }
   bool all_l0_certified = true;
+  size_t set_aside = 0;
+  auto slot_bid = [&resp](size_t i) {
+    return resp.l0_blocks[i] != nullptr ? resp.l0_blocks[i]->id
+                                        : resp.l0_refs[i]->bid;
+  };
   for (size_t i = 0; i < resp.l0_blocks.size(); ++i) {
-    if (i > 0 && resp.l0_blocks[i]->id != resp.l0_blocks[i - 1]->id + 1) {
+    if (resp.l0_blocks[i] == nullptr) {
+      if (!opts.set_aside_unresolved || i >= resp.l0_refs.size() ||
+          !resp.l0_refs[i].has_value()) {
+        return Violation("unresolved L0 block reference");
+      }
+      set_aside++;
+    }
+    if (i > 0 && slot_bid(i) != slot_bid(i - 1) + 1) {
       return Violation("L0 block ids are not contiguous");
     }
     if (!resp.l0_certs[i].has_value()) all_l0_certified = false;
   }
   // Cache-missed blocks are digested together in one multi-buffer batch.
-  auto l0_verified = VerifierCache::VerifyPresentedL0Blocks(
-      keystore, edge, resp.l0_blocks, resp.l0_certs, opts.cache);
-  if (!l0_verified.ok()) return l0_verified.status();
-  std::vector<std::shared_ptr<VerifierCache::BlockEntry>> l0_entries =
-      std::move(*l0_verified);
+  std::vector<std::shared_ptr<VerifierCache::BlockEntry>> l0_entries;
+  if (set_aside == 0) {
+    auto l0_verified = VerifierCache::VerifyPresentedL0Blocks(
+        keystore, edge, resp.l0_blocks, resp.l0_certs, opts.cache);
+    if (!l0_verified.ok()) return l0_verified.status();
+    l0_entries = std::move(*l0_verified);
+  } else {
+    // Only the blocks in hand are checked; their pairs are then
+    // extracted below without the cache's index.
+    std::vector<std::shared_ptr<const Block>> blocks;
+    std::vector<std::optional<BlockCertificate>> certs;
+    for (size_t i = 0; i < resp.l0_blocks.size(); ++i) {
+      if (resp.l0_blocks[i] == nullptr) continue;
+      blocks.push_back(resp.l0_blocks[i]);
+      certs.push_back(resp.l0_certs[i]);
+    }
+    auto l0_verified = VerifierCache::VerifyPresentedL0Blocks(
+        keystore, edge, blocks, certs, opts.cache);
+    if (!l0_verified.ok()) return l0_verified.status();
+    l0_entries.resize(resp.l0_blocks.size());
+  }
 
   // --- Rebuild the result from evidence: newest version per key. ---
   std::map<Key, KvPair> newest;  // key -> newest pair seen so far
 
   // L0 first (newest data); within L0, higher version wins.
   for (size_t i = 0; i < resp.l0_blocks.size(); ++i) {
+    if (resp.l0_blocks[i] == nullptr) continue;  // set aside
     if (l0_entries[i] != nullptr) {
       // Cached per-block index: already newest-per-key within the block.
       for (const auto& [k, pair] : l0_entries[i]->newest) {
@@ -290,6 +284,21 @@ Result<VerifiedScan> VerifyScanResponse(const KeyStore& keystore, NodeId edge,
       return Violation("missing run for non-empty level " +
                        std::to_string(lvl));
     }
+  }
+
+  if (set_aside > 0) {
+    // A set-aside block may replace any pair of the evidence, but it
+    // cannot remove a key: each one must still be claimed.
+    std::set<Key> claimed;
+    for (const KvPair& p : resp.pairs) claimed.insert(p.key);
+    for (const auto& [key, pair] : newest) {
+      if (claimed.count(key) == 0) {
+        return Violation("claim omits key " + std::to_string(key));
+      }
+    }
+    return Status::NotFound(std::to_string(set_aside) +
+                            " L0 block(s) set aside: the claim stays "
+                            "unchecked");
   }
 
   // --- Claim must equal evidence. ---

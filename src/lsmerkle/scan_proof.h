@@ -58,10 +58,11 @@ struct ScanResponseBody {
   /// The claimed result: newest version per key, sorted ascending by key.
   std::vector<KvPair> pairs;
 
-  /// All L0 blocks, oldest first, with optional certificates. Shared and
-  /// never null, like GetResponseBody::l0_blocks.
+  /// One slot per L0 block, oldest first, with optional certificates;
+  /// a slot may go as a reference, exactly as in GetResponseBody.
   std::vector<std::shared_ptr<const Block>> l0_blocks;
   std::vector<std::optional<BlockCertificate>> l0_certs;
+  std::vector<std::optional<BlockRef>> l0_refs;
 
   /// One run per non-empty level 1..n.
   std::vector<ScanLevelRun> runs;
@@ -72,7 +73,6 @@ struct ScanResponseBody {
 
   void EncodeTo(Encoder* enc) const;
   static Result<ScanResponseBody> DecodeFrom(Decoder* dec);
-  size_t ByteSize() const;
 };
 
 /// Outcome of verifying a scan response.

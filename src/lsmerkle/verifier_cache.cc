@@ -1,5 +1,7 @@
 #include "lsmerkle/verifier_cache.h"
 
+#include <algorithm>
+
 #include "lsmerkle/merge.h"
 
 namespace wedge {
@@ -49,16 +51,13 @@ std::shared_ptr<VerifierCache::BlockEntry> VerifierCache::RecordBlock(
     std::unordered_map<Key, KvPair> newest) {
   const uint64_t key = BlockKey(edge, block->id);
   auto& slot = blocks_[key];
-  if (slot == nullptr) {
-    slot = std::make_shared<BlockEntry>();
-    block_order_.push_back(key);
-  }
-  auto entry = slot;
-  entry->edge = edge;
-  entry->block = std::move(block);
-  entry->digest = digest;
-  entry->cert = std::move(cert);
-  entry->newest = std::move(newest);
+  if (slot == nullptr) block_order_.push_back(key);
+  // A fresh entry, not an update in place: a request that pinned the
+  // old entry keeps the block it listed.
+  auto entry = std::make_shared<BlockEntry>(
+      BlockEntry{edge, std::move(block), digest, std::move(cert),
+                 std::move(newest)});
+  slot = entry;
   while (blocks_.size() > limits_.max_blocks && !block_order_.empty()) {
     blocks_.erase(block_order_.front());
     block_order_.pop_front();
@@ -66,6 +65,52 @@ std::shared_ptr<VerifierCache::BlockEntry> VerifierCache::RecordBlock(
   // Even if the cap just evicted it from the map, the caller's shared
   // entry stays valid for the current request.
   return entry;
+}
+
+std::vector<std::shared_ptr<VerifierCache::BlockEntry>>
+VerifierCache::HeldBlocks(NodeId edge, BlockId floor, size_t max) const {
+  std::vector<std::shared_ptr<BlockEntry>> held;
+  for (const auto& [key, entry] : blocks_) {
+    if (entry->edge == edge && entry->block->id >= floor) {
+      held.push_back(entry);
+    }
+  }
+  std::sort(held.begin(), held.end(), [](const auto& a, const auto& b) {
+    return a->block->id > b->block->id;
+  });
+  if (held.size() > max) held.resize(max);
+  return held;
+}
+
+Result<size_t> VerifierCache::ResolveHeldRefs(
+    const std::vector<std::shared_ptr<BlockEntry>>& held,
+    const std::vector<std::optional<BlockRef>>& refs,
+    std::vector<std::shared_ptr<const Block>>* blocks) {
+  size_t resolved = 0;
+  Status first_violation;
+  for (size_t i = 0; i < refs.size() && i < blocks->size(); ++i) {
+    if (!refs[i].has_value() || (*blocks)[i] != nullptr) continue;
+    const BlockRef& ref = *refs[i];
+    auto it = std::find_if(held.begin(), held.end(), [&](const auto& e) {
+      return e->block->id == ref.bid;
+    });
+    Status st;
+    if (it == held.end()) {
+      st = Status::SecurityViolation(
+          "reference to block " + std::to_string(ref.bid) +
+          ", which the request did not list");
+    } else if (!(*it)->digest.CryptoEquals(ref.digest)) {
+      st = Status::SecurityViolation(
+          "reference to block " + std::to_string(ref.bid) +
+          " carries a digest other than the held copy's");
+    } else {
+      (*blocks)[i] = (*it)->block;
+      resolved++;
+    }
+    if (first_violation.ok()) first_violation = st;
+  }
+  if (!first_violation.ok()) return first_violation;
+  return resolved;
 }
 
 bool VerifierCache::IsPartVerified(const Digest256& level_root,
@@ -240,10 +285,11 @@ VerifierCache::VerifyPresentedL0Blocks(
     const Block& blk = *blocks[i];
     if (cache != nullptr) {
       std::shared_ptr<BlockEntry> e = cache->FindBlock(edge, blk.id);
-      if (e != nullptr && *e->block == blk) {
-        // Content bound by equality with the verified copy. Only a
-        // certificate this entry has not seen yet needs work — and its
-        // digest check is against the cached digest, no re-hash.
+      if (e != nullptr && (e->block == blocks[i] || *e->block == blk)) {
+        // Content bound by identity with the verified copy (a resolved
+        // reference) or by equality with it. Only a certificate this
+        // entry has not seen yet needs work — and its digest check is
+        // against the cached digest, no re-hash.
         const std::optional<BlockCertificate>& cert = certs[i];
         if (cert.has_value() && !(e->cert.has_value() && *e->cert == *cert)) {
           WEDGE_RETURN_NOT_OK(cert->Validate(keystore));

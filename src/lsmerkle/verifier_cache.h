@@ -7,7 +7,9 @@
 // certificate. Verifying each response from scratch re-hashes every L0
 // block and re-checks every signature — the 0.19 ms/read of Fig. 5d. The
 // cache remembers what has already been verified so the steady state only
-// pays for what changed.
+// pays for what changed. It also feeds the held-block hint of read
+// requests (HeldBlocks), so the edge sends held L0 blocks as references
+// and the client fills them back in (ResolveHeldRefs).
 //
 // Soundness: every entry binds the *content* it vouches for, not just an
 // id. A hit requires the presented bytes to equal the verified bytes
@@ -32,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/result.h"
 #include "crypto/digest.h"
 #include "log/block.h"
 #include "log/certificate.h"
@@ -113,6 +116,25 @@ class VerifierCache {
       const Digest256& digest, std::optional<BlockCertificate> cert,
       std::unordered_map<Key, KvPair> newest);
 
+  /// The cached blocks of `edge` with bid >= `floor`, newest first, at
+  /// most `max`: the held-block hint of a get or scan request. The
+  /// caller keeps the returned entries until the reply is verified, so
+  /// an eviction in between cannot lose a block the edge may reference.
+  std::vector<std::shared_ptr<BlockEntry>> HeldBlocks(NodeId edge,
+                                                      BlockId floor,
+                                                      size_t max) const;
+
+  /// The resolve step of a get or scan reply: fills every reference slot
+  /// (`refs[i]` set, `(*blocks)[i]` null) with the block of the `held`
+  /// entry it names. A reference to a block not in `held`, or with a
+  /// digest other than the held copy's, is a SecurityViolation; the
+  /// other slots are filled all the same, so a dispute can supply them.
+  /// Returns the number of slots resolved.
+  static Result<size_t> ResolveHeldRefs(
+      const std::vector<std::shared_ptr<BlockEntry>>& held,
+      const std::vector<std::optional<BlockRef>>& refs,
+      std::vector<std::shared_ptr<const Block>>* blocks);
+
   // ---- level parts --------------------------------------------------
 
   /// True iff (level_root, page, proof) was verified before: the page's
@@ -177,8 +199,9 @@ class VerifierCache {
 
   /// Full set of checks for one presented L0 block + optional certificate,
   /// shared by get and scan verification. With a cache, a content-equal
-  /// block skips re-hashing and re-validation and the returned entry's
-  /// `newest` index replaces payload decoding; without one (`cache ==
+  /// block (or the cached block object itself, as a resolved reference
+  /// presents it) skips re-hashing and re-validation and the returned
+  /// entry's `newest` index replaces payload decoding; without one (`cache ==
   /// nullptr`, returns nullptr on success) the classic per-request checks
   /// run: reservation validation and, when a certificate is present, its
   /// signature plus a digest match against the re-hashed block.

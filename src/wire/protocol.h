@@ -238,19 +238,49 @@ struct CertifyReject {
 
 // -------------------------------------------------------------- key-value
 
-/// Client -> edge: get `key` with proof.
+/// The most held-block entries a get or scan request lists; the edge
+/// ignores any beyond this.
+inline constexpr size_t kMaxHeldBlocks = 32;
+
+namespace wire_internal {
+/// The `held` trailer of get and scan requests: u32 count, then (bid,
+/// digest) pairs.
+inline void EncodeHeld(Encoder* enc, const std::vector<BlockRef>& held) {
+  enc->PutU32(static_cast<uint32_t>(held.size()));
+  for (const BlockRef& r : held) r.EncodeTo(enc);
+}
+inline Result<std::vector<BlockRef>> DecodeHeld(Decoder* dec) {
+  uint32_t n = 0;
+  WEDGE_ASSIGN_OR_RETURN(n, dec->GetU32());
+  std::vector<BlockRef> held;
+  held.reserve(std::min<size_t>(n, dec->remaining() / 40));
+  for (uint32_t i = 0; i < n; ++i) {
+    auto r = BlockRef::DecodeFrom(dec);
+    if (!r.ok()) return r.status();
+    held.push_back(*r);
+  }
+  return held;
+}
+}  // namespace wire_internal
+
+/// Client -> edge: get `key` with proof. `held` names L0 blocks the
+/// client already holds verified, newest first: a hint that lets the
+/// edge send those slots as references instead of bytes.
 struct GetRequest {
   SeqNum req_id = 0;
   Key key = 0;
+  std::vector<BlockRef> held;
 
   void EncodeTo(Encoder* enc) const {
     enc->PutU64(req_id);
     enc->PutU64(key);
+    wire_internal::EncodeHeld(enc, held);
   }
   static Result<GetRequest> DecodeFrom(Decoder* dec) {
     GetRequest m;
     WEDGE_ASSIGN_OR_RETURN(m.req_id, dec->GetU64());
     WEDGE_ASSIGN_OR_RETURN(m.key, dec->GetU64());
+    WEDGE_ASSIGN_OR_RETURN(m.held, wire_internal::DecodeHeld(dec));
     return m;
   }
   WEDGE_MSG_HELPERS(GetRequest)
@@ -407,24 +437,32 @@ enum class DisputeKind : uint8_t {
   /// The edge signed "block not available" for a bid the cloud certified.
   kOmission = 2,
   /// The edge's signed scan response fails completeness verification
-  /// (truncated/withheld pages, tampered claims). The evidence is
-  /// self-contained: the cloud re-runs the scan verifier on it.
+  /// (truncated/withheld pages, tampered claims). The cloud re-runs the
+  /// scan verifier on it, after filling the response's reference slots
+  /// from the blocks the dispute supplies; a slot none fills is set
+  /// aside, and the verdict rests on what the rest proves.
   kScanTruncation = 3,
 };
 
 /// Client -> cloud: evidence is the raw signed envelope received from the
-/// edge (AddResponse, ReadResponse, or the negative ReadResponse).
+/// edge (AddResponse, ReadResponse, the negative ReadResponse, or a
+/// ScanResponse). A scan response whose L0 slots went as references is
+/// not self-contained, so `blocks` carries the referenced blocks; the
+/// cloud accepts each only if its digest equals the one the edge sealed.
 struct Dispute {
   DisputeKind kind = DisputeKind::kAddMismatch;
   NodeId edge = kInvalidNodeId;
   BlockId bid = 0;
   Bytes evidence;  // raw envelope bytes
+  std::vector<Block> blocks;
 
   void EncodeTo(Encoder* enc) const {
     enc->PutU8(static_cast<uint8_t>(kind));
     enc->PutU32(edge);
     enc->PutU64(bid);
     enc->PutBytes(evidence);
+    enc->PutU32(static_cast<uint32_t>(blocks.size()));
+    for (const Block& b : blocks) b.EncodeTo(enc);
   }
   static Result<Dispute> DecodeFrom(Decoder* dec) {
     Dispute m;
@@ -437,6 +475,13 @@ struct Dispute {
     WEDGE_ASSIGN_OR_RETURN(m.edge, dec->GetU32());
     WEDGE_ASSIGN_OR_RETURN(m.bid, dec->GetU64());
     WEDGE_ASSIGN_OR_RETURN(m.evidence, dec->GetBytes());
+    uint32_t n = 0;
+    WEDGE_ASSIGN_OR_RETURN(n, dec->GetU32());
+    for (uint32_t i = 0; i < n; ++i) {
+      auto b = Block::DecodeFrom(dec);
+      if (!b.ok()) return b.status();
+      m.blocks.push_back(std::move(*b));
+    }
     return m;
   }
   WEDGE_MSG_HELPERS(Dispute)
@@ -841,22 +886,25 @@ struct CloudGetResponse {
 
 // ------------------------------------------------ verifiable range scan
 
-/// Client -> edge: scan [lo, hi].
+/// Client -> edge: scan [lo, hi]. `held` as in GetRequest.
 struct ScanRequest {
   SeqNum req_id = 0;
   Key lo = 0;
   Key hi = 0;
+  std::vector<BlockRef> held;
 
   void EncodeTo(Encoder* enc) const {
     enc->PutU64(req_id);
     enc->PutU64(lo);
     enc->PutU64(hi);
+    wire_internal::EncodeHeld(enc, held);
   }
   static Result<ScanRequest> DecodeFrom(Decoder* dec) {
     ScanRequest m;
     WEDGE_ASSIGN_OR_RETURN(m.req_id, dec->GetU64());
     WEDGE_ASSIGN_OR_RETURN(m.lo, dec->GetU64());
     WEDGE_ASSIGN_OR_RETURN(m.hi, dec->GetU64());
+    WEDGE_ASSIGN_OR_RETURN(m.held, wire_internal::DecodeHeld(dec));
     return m;
   }
   WEDGE_MSG_HELPERS(ScanRequest)
@@ -880,8 +928,6 @@ struct ScanResponse {
     return m;
   }
   WEDGE_MSG_HELPERS(ScanResponse)
-
-  size_t ByteSize() const { return 8 + body.ByteSize(); }
 };
 
 #undef WEDGE_MSG_HELPERS

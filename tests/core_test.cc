@@ -360,6 +360,52 @@ TEST(CoreAttackTest, DoubleCertifyFlaggedAtCloud) {
   EXPECT_TRUE(d.cloud().CertifiedDigest(rogue.id(), 0).has_value());
 }
 
+// A get reply from any node but the client's edge is dropped: another
+// registered node cannot answer a pending get with uncertified L0
+// blocks of its own making (which, with no level data, need no root
+// certificate and would pass as a Phase I read).
+TEST(CoreAttackTest, ForgedGetReplyFromRogueNodeIgnored) {
+  Deployment d(BaseConfig());
+  d.Start();
+  d.client().PutBatch(Puts({5, 6, 7, 8}, 0xaa));
+  d.sim().RunFor(kSecond);
+
+  KeyStore& ks = d.keystore();
+  Signer rogue = ks.Register(Role::kEdge, "rogue");
+  class NullEp : public Endpoint {
+    void OnMessage(NodeId, Slice, SimTime) override {}
+  } null_ep;
+  d.net().Attach(rogue.id(), Dc::kCalifornia, &null_ep);
+
+  Status status = Status::Timeout("no reply");
+  Bytes value;
+  d.client().Get(5, [&](const Status& s, const VerifiedGet& v, SimTime) {
+    status = s;
+    value = v.value;
+  });
+  // The put was request 1, so the pending get is request 2. The rogue's
+  // sealed reply is one hop away and lands before the edge's.
+  Block forged;
+  forged.id = 0;
+  forged.entries.push_back(
+      Entry::Make(rogue, 1, EncodePutPayload(5, Bytes(100, 0xee))));
+  GetResponse lie;
+  lie.req_id = 2;
+  lie.body.key = 5;
+  lie.body.found = true;
+  lie.body.found_level = 0;
+  lie.body.value = Bytes(100, 0xee);
+  lie.body.l0_blocks = {std::make_shared<const Block>(forged)};
+  lie.body.l0_certs = {std::nullopt};
+  d.net().Send(rogue.id(), d.client().id(),
+               Envelope::Seal(rogue, MsgType::kGetResponse, lie.Encode()));
+  d.sim().RunFor(kSecond);
+
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(value, Bytes(100, 0xaa));
+  EXPECT_EQ(d.client().stats().gets_ok, 1u);
+}
+
 TEST(CoreAttackTest, OmissionDetectedViaGossip) {
   auto cfg = BaseConfig();
   cfg.cloud.gossip_period = 200 * kMillisecond;
@@ -644,6 +690,90 @@ TEST(CoreSessionTest, MonotonicSessionsAcceptHonestProgress) {
   EXPECT_EQ(d.client().stats().snapshot_regressions, 0u);
 }
 
+// ------------------------------------------ held references and crashes
+
+// A crash loses an uncertified block; the recovered edge reissues its
+// bid with new content. The client still holds the old block under that
+// bid, so its next get lists it — the digest no longer matches, and the
+// edge ships the new block in full while referencing the restored one.
+TEST(CoreHeldRefsTest, ReissuedBidAfterCrashShippedInFull) {
+  auto cfg = BaseConfig();
+  cfg.edge.lsm.level_thresholds = {16, 16};
+  cfg.edge.ship_full_blocks = true;
+  cfg.cloud.backup_blocks = true;
+  cfg.client.proof_timeout = 60 * kSecond;
+  Deployment d(cfg);
+  d.Start();
+
+  auto get = [&d](Key key) {
+    Result<VerifiedGet> out = Status::Timeout("no reply");
+    d.client().Get(key, [&out](const Status& s, const VerifiedGet& v,
+                               SimTime) {
+      if (s.ok()) {
+        out = v;
+      } else {
+        out = s;
+      }
+    });
+    d.sim().RunFor(100 * kMillisecond);
+    return out;
+  };
+
+  d.client().PutBatch(Puts({1, 2, 3, 4}, 1));  // block 0, certified
+  d.sim().RunFor(2 * kSecond);
+  d.edge().misbehavior().drop_certifies = true;
+  d.client().PutBatch(Puts({5, 6, 7, 8}, 2));  // block 1, never certified
+  d.sim().RunFor(100 * kMillisecond);
+  auto before = get(5);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->value, Bytes(100, 2));
+
+  d.CrashEdge(0);
+  d.sim().RunFor(100 * kMillisecond);
+  d.edge().misbehavior().drop_certifies = false;
+  d.RecoverEdge(0);
+  d.sim().RunFor(2 * kSecond);
+  ASSERT_EQ(d.edge().lsm().l0_count(), 1u);  // block 0, from the backup
+
+  d.client().PutBatch(Puts({5, 6, 7, 8}, 3));  // block 1 again, new content
+  d.sim().RunFor(100 * kMillisecond);
+  const EdgeStats edge_before = d.edge().stats();
+  auto after = get(5);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->value, Bytes(100, 3));
+  EXPECT_EQ(d.edge().stats().l0_refs_sent - edge_before.l0_refs_sent, 1u);
+  EXPECT_EQ(d.edge().stats().l0_blocks_sent - edge_before.l0_blocks_sent,
+            1u);
+  EXPECT_EQ(d.client().stats().verification_failures, 0u);
+}
+
+// Certification of a tampered digest does not leak into L0's digest
+// memo: the memo is the block's own digest, so the client's held copy
+// (verified at Phase I) still matches it and goes by reference.
+TEST(CoreHeldRefsTest, TamperedCertificationLeavesDigestMemoHonest) {
+  Deployment d(BaseConfig());
+  d.edge().misbehavior().certify_tampered = true;
+  d.Start();
+  d.client().PutBatch(Puts({1, 2, 3, 4}, 1));
+  d.sim().RunFor(30 * kMillisecond);  // Phase I; the proof is still out
+  ASSERT_EQ(d.edge().lsm().l0_count(), 1u);
+  const L0Unit& unit = d.edge().lsm().l0_units()[0];
+  EXPECT_EQ(unit.digest, unit.block->Digest());
+
+  int ok = 0;
+  for (int i = 0; i < 2; ++i) {
+    d.client().Get(1, [&](const Status& s, const VerifiedGet& v, SimTime) {
+      EXPECT_TRUE(s.ok()) << s;
+      EXPECT_EQ(v.value, Bytes(100, 1));
+      ok += s.ok() ? 1 : 0;
+    });
+    d.sim().RunFor(5 * kMillisecond);
+  }
+  EXPECT_EQ(ok, 2);
+  EXPECT_EQ(d.edge().stats().l0_blocks_sent, 1u);
+  EXPECT_EQ(d.edge().stats().l0_refs_sent, 1u);
+}
+
 // ------------------------------------- Phase I acks, sim and threads
 
 StoreOptions AckOptions(RuntimeKind runtime, size_t ops_per_block) {
@@ -759,6 +889,118 @@ TEST_P(PhaseOneAckTest, ConcurrentPhaseOneReadsBothGetPhaseTwo) {
     EXPECT_TRUE(v[1].second) << "Phase II verdict";
   }
 }
+
+// ------------------------------ held-block references, sim and threads
+
+struct ReadStats {
+  EdgeStats edge;
+  ClientStats client;
+};
+
+ReadStats ReadNodeStats(Store& store) {
+  ReadStats out;
+  OnNode(store, store.wedge().edge().id(), ExecRole::kDedicated,
+         [&] { out.edge = store.wedge().edge().stats(); });
+  OnNode(store, store.wedge().client().id(), ExecRole::kPooled,
+         [&] { out.client = store.wedge().client().stats(); });
+  return out;
+}
+
+/// Writes `blocks` full blocks of 4 puts each (keys 0.., value tag `tag`)
+/// and waits for their Phase I commits; with the L0 threshold of
+/// AckOptions they all stay in L0.
+void PutBlocks(Store& store, int blocks, uint8_t tag) {
+  for (int b = 0; b < blocks; ++b) {
+    std::vector<std::pair<Key, Bytes>> kvs;
+    for (int i = 0; i < 4; ++i) {
+      kvs.emplace_back(static_cast<Key>(b * 4 + i), Bytes(16, tag));
+    }
+    auto p1 = store.AsyncPutBatch(kvs).WaitPhase1(10 * kSecond);
+    ASSERT_TRUE(p1.ok()) << p1.status();
+  }
+}
+
+class HeldRefsTest : public ::testing::TestWithParam<RuntimeKind> {};
+
+// A client's gets and scans after its first read name the L0 blocks it
+// holds; the edge sends those slots as references, the client fills
+// them in, and every read still verifies with the right values.
+TEST_P(HeldRefsTest, HeldBlocksGoAsReferencesAndVerify) {
+  auto opened = Store::Open(AckOptions(GetParam(), 4));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store store = std::move(*opened);
+  PutBlocks(store, 5, 3);
+
+  int gets = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (Key k = 0; k < 20; k += 3) {
+      auto got = store.Get(k);
+      ++gets;
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_TRUE(got->found) << k;
+      EXPECT_EQ(got->value, Bytes(16, 3));
+    }
+    auto scan = store.Scan(2, 17);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_EQ(scan->pairs.size(), 16u);
+  }
+  // A new block in L0 is shipped in full once, then referenced.
+  PutBlocks(store, 1, 4);
+  for (int i = 0; i < 2; ++i) {
+    auto got = store.Get(1);
+    ++gets;
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->value, Bytes(16, 4));
+  }
+
+  const ReadStats st = ReadNodeStats(store);
+  EXPECT_EQ(st.edge.gets_served, static_cast<uint64_t>(gets));
+  EXPECT_EQ(st.edge.scans_served, 3u);
+  // Only the first read and the first read after the new block carry
+  // full blocks: 5 + 6 slots in full, the rest by reference.
+  const uint64_t slots = 5 * (3 * 7 + 3) + 6 * 2;
+  EXPECT_EQ(st.edge.l0_blocks_sent + st.edge.l0_refs_sent, slots);
+  EXPECT_EQ(st.edge.l0_blocks_sent, 5u + 1u);
+  EXPECT_EQ(st.client.l0_refs_resolved, st.edge.l0_refs_sent);
+  EXPECT_EQ(st.client.gets_ok, static_cast<uint64_t>(gets));
+  EXPECT_EQ(st.client.scans_ok, 3u);
+  EXPECT_EQ(st.client.verification_failures, 0u);
+}
+
+// The client pins what it listed: with room for only 2 cached blocks and
+// 4 blocks in L0, concurrent gets evict each other's listed blocks
+// between request and reply, and every one still resolves and verifies.
+TEST_P(HeldRefsTest, PinnedBlocksSurviveEvictionUnderConcurrentGets) {
+  VerifierCache::Limits limits;
+  limits.max_blocks = 2;
+  auto opened = Store::Open(
+      AckOptions(GetParam(), 4).WithVerifierCacheLimits(limits));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store store = std::move(*opened);
+  PutBlocks(store, 4, 5);
+  ASSERT_TRUE(store.Get(0).ok());  // warms the cache: the 2 newest blocks
+
+  std::vector<AsyncOp<GetResult>> gets;
+  for (Key k = 0; k < 16; ++k) gets.push_back(store.AsyncGet(k));
+  for (AsyncOp<GetResult>& g : gets) {
+    auto got = g.Wait(10 * kSecond);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->value, Bytes(16, 5));
+  }
+  const ReadStats st = ReadNodeStats(store);
+  EXPECT_EQ(st.edge.gets_served, 17u);
+  EXPECT_GT(st.client.l0_refs_resolved, 0u);
+  EXPECT_EQ(st.client.l0_refs_resolved, st.edge.l0_refs_sent);
+  EXPECT_EQ(st.client.verification_failures, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runtimes, HeldRefsTest,
+    ::testing::Values(RuntimeKind::kSim, RuntimeKind::kThreaded),
+    [](const ::testing::TestParamInfo<RuntimeKind>& info) {
+      return std::string(info.param == RuntimeKind::kSim ? "sim"
+                                                         : "threaded");
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Runtimes, PhaseOneAckTest,

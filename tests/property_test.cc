@@ -369,6 +369,28 @@ TEST_P(CodecFuzzTest, CorruptedMessagesFailCleanly) {
     gr.req_id = 2;
     gr.body.key = 9;
     corpus.push_back(gr.Encode());
+    // Held trailers and reference slots: a request listing held blocks,
+    // and replies whose L0 mixes a reference with a full block.
+    const std::vector<BlockRef> held = {{4, b.Digest()}, {3, b.Digest()}};
+    corpus.push_back(GetRequest{2, 9, held}.Encode());
+    corpus.push_back(ScanRequest{3, 1, 9, held}.Encode());
+    gr.body.l0_blocks = {nullptr, std::make_shared<const Block>(b)};
+    gr.body.l0_certs = {std::nullopt, bp.cert};
+    gr.body.l0_refs = {BlockRef{2, b.Digest()}, std::nullopt};
+    corpus.push_back(gr.Encode());
+    ScanResponse sr;
+    sr.req_id = 3;
+    sr.body.lo = 1;
+    sr.body.hi = 9;
+    sr.body.l0_blocks = gr.body.l0_blocks;
+    sr.body.l0_certs = gr.body.l0_certs;
+    sr.body.l0_refs = gr.body.l0_refs;
+    corpus.push_back(sr.Encode());
+    Dispute dispute;
+    dispute.kind = DisputeKind::kScanTruncation;
+    dispute.evidence = sr.Encode();
+    dispute.blocks = {b};
+    corpus.push_back(dispute.Encode());
     BackupBlocks bb;
     bb.from_bid = 0;
     bb.items.push_back({b, true, bp.cert});
@@ -397,6 +419,9 @@ TEST_P(CodecFuzzTest, CorruptedMessagesFailCleanly) {
       // error Status are both acceptable outcomes.
       (void)AddResponse::Decode(Slice(mutated));
       (void)BlockProof::Decode(Slice(mutated));
+      (void)GetRequest::Decode(Slice(mutated));
+      (void)ScanRequest::Decode(Slice(mutated));
+      (void)Dispute::Decode(Slice(mutated));
       (void)GetResponse::Decode(Slice(mutated));
       (void)BackupBlocks::Decode(Slice(mutated));
       (void)ScanResponse::Decode(Slice(mutated));

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -367,6 +368,57 @@ TEST_F(ScanFixture, RootCertForDifferentEdgeDetected) {
   EXPECT_TRUE(verified.status().IsSecurityViolation());
 }
 
+// The cloud's dispute check sets an unresolved reference aside. No
+// content of that block could excuse a dropped run page or an omitted
+// level key, so those still convict; a claim the block could explain
+// does not.
+TEST_F(ScanFixture, SetAsideReferenceNeitherConvictsNorShields) {
+  for (Key base = 0; base < 24; base += 4) {
+    ApplyBlock({{base, Bytes{1}},
+                {base + 1, Bytes{2}},
+                {base + 2, Bytes{3}},
+                {base + 3, Bytes{4}}});
+    if (tree_.l0_count() >= 2) MergeL0();
+  }
+  ApplyBlock({{5, Bytes{9}}, {30, Bytes{9}}});
+  ApplyBlock({{31, Bytes{9}}});
+  ASSERT_GT(tree_.level(1).page_count(), 1u);
+  const L0Unit& first = tree_.l0_units().front();
+  const std::vector<BlockRef> held = {{first.block->id, first.digest}};
+  auto check = [&](const ScanResponseBody& body) {
+    GetVerifyOptions opts;
+    opts.set_aside_unresolved = true;
+    return VerifyScanResponse(keystore_, edge_.id(), 0, 31, body, opts)
+        .status();
+  };
+
+  // Honest, with its first L0 slot unresolved: the client's verifier
+  // rejects the slot, the dispute check cannot decide.
+  const auto honest = AssembleScanResponse(tree_, log_, 0, 31, false, held);
+  ASSERT_EQ(honest.l0_blocks[0], nullptr);
+  EXPECT_TRUE(VerifyScanResponse(keystore_, edge_.id(), 0, 31, honest)
+                  .status()
+                  .IsSecurityViolation());
+  EXPECT_TRUE(check(honest).IsNotFound()) << check(honest);
+
+  // Key 30 lives only in the set-aside block: omitting it proves nothing.
+  auto body = honest;
+  body.pairs.erase(std::find_if(body.pairs.begin(), body.pairs.end(),
+                                [](const KvPair& p) { return p.key == 30; }));
+  EXPECT_TRUE(check(body).IsNotFound()) << check(body);
+
+  // Key 10 lives in level 1: no block can remove it from the result.
+  body = honest;
+  body.pairs.erase(std::find_if(body.pairs.begin(), body.pairs.end(),
+                                [](const KvPair& p) { return p.key == 10; }));
+  EXPECT_TRUE(check(body).IsSecurityViolation()) << check(body);
+
+  // A dropped run page fails the coverage check whatever L0 holds.
+  body = AssembleScanResponse(tree_, log_, 0, 31, /*drop_last_run_page=*/true,
+                              held);
+  EXPECT_TRUE(check(body).IsSecurityViolation()) << check(body);
+}
+
 // ----------------------------------------------------------- integration
 
 DeploymentConfig ScanDeployConfig() {
@@ -437,6 +489,164 @@ TEST(ScanIntegrationTest, TruncatingEdgeDetectedByClient) {
   EXPECT_GE(d.client().stats().disputes_upheld, 1u);
   EXPECT_TRUE(d.cloud().IsFlagged(d.edge().id()));
   EXPECT_TRUE(d.authority().IsPunished(d.edge().id()));
+}
+
+// The truncating edge's reply sends the client's held L0 blocks as
+// references, so the signed envelope alone no longer holds the evidence:
+// the dispute supplies the referenced blocks and is still upheld.
+TEST(ScanIntegrationTest, TruncatedScanWithReferencesStillConvicts) {
+  auto cfg = ScanDeployConfig();
+  cfg.edge.lsm.level_thresholds = {4, 2, 8};
+  Deployment d(cfg);
+  d.Start();
+  auto put_block = [&d](Key base) {
+    std::vector<std::pair<Key, Bytes>> kvs;
+    for (Key k = base; k < base + 4; ++k) kvs.emplace_back(k, Bytes(16, 7));
+    d.client().PutBatch(kvs);
+  };
+  for (Key base = 0; base < 44; base += 4) put_block(base);
+  d.sim().RunFor(10 * kSecond);
+  put_block(44);  // one block left in L0, under the merge threshold
+  d.sim().RunFor(kSecond);
+  ASSERT_GT(d.edge().lsm().l0_count(), 0u);
+
+  // An honest scan first: the client now holds every L0 block.
+  Status honest;
+  d.client().Scan(0, 47, [&](const Status& s, const VerifiedScan&, SimTime) {
+    honest = s;
+  });
+  d.sim().RunFor(kSecond);
+  ASSERT_TRUE(honest.ok()) << honest;
+  const uint64_t refs_before = d.edge().stats().l0_refs_sent;
+
+  d.edge().misbehavior().truncate_scans = true;
+  Status status;
+  d.client().Scan(0, 47, [&](const Status& s, const VerifiedScan&, SimTime) {
+    status = s;
+  });
+  d.sim().RunFor(3 * kSecond);
+  EXPECT_TRUE(status.IsSecurityViolation()) << status;
+  EXPECT_EQ(d.edge().stats().l0_refs_sent - refs_before,
+            d.edge().lsm().l0_count());
+  EXPECT_GE(d.client().stats().disputes_upheld, 1u);
+  EXPECT_TRUE(d.cloud().IsFlagged(d.edge().id()));
+  EXPECT_TRUE(d.authority().IsPunished(d.edge().id()));
+}
+
+// The cloud resolves a reference only with a supplied block whose digest
+// is the one the edge sealed: a mismatching block leaves the reference
+// unresolved and the edge unconvicted; the right block convicts.
+TEST(ScanIntegrationTest, DisputeConvictsOnlyOnMatchingSuppliedBlock) {
+  Deployment d(ScanDeployConfig());
+  d.Start();
+  KeyStore& ks = d.keystore();
+  Signer rogue = ks.Register(Role::kEdge, "rogue");
+  Signer witness = ks.Register(Role::kClient, "witness");
+  class NullEp : public Endpoint {
+    void OnMessage(NodeId, Slice, SimTime) override {}
+  } null_ep, witness_ep;
+  d.net().Attach(rogue.id(), Dc::kCalifornia, &null_ep);
+  d.net().Attach(witness.id(), Dc::kCalifornia, &witness_ep);
+
+  // The rogue's scan reply: one L0 slot by reference, and a claim that
+  // omits key 3, which that block holds.
+  Block held;
+  held.id = 0;
+  for (Key k = 1; k <= 3; ++k) {
+    held.entries.push_back(
+        Entry::Make(witness, k, EncodePutPayload(k, Bytes(4, 1))));
+  }
+  ScanResponse lie;
+  lie.body.lo = 0;
+  lie.body.hi = 10;
+  lie.body.pairs = {{1, Bytes(4, 1), MakeVersion(0, 0)},
+                    {2, Bytes(4, 1), MakeVersion(0, 1)}};
+  lie.body.l0_blocks = {nullptr};
+  lie.body.l0_certs = {std::nullopt};
+  lie.body.l0_refs = {BlockRef{0, held.Digest()}};
+  const Bytes evidence =
+      Envelope::Seal(rogue, MsgType::kScanResponse, lie.Encode());
+
+  auto dispute = [&](Block supplied) {
+    Dispute m;
+    m.kind = DisputeKind::kScanTruncation;
+    m.edge = rogue.id();
+    m.evidence = evidence;
+    m.blocks = {std::move(supplied)};
+    d.net().Send(witness.id(), d.cloud().id(),
+                 Envelope::Seal(witness, MsgType::kDispute, m.Encode()));
+    d.sim().RunFor(kSecond);
+  };
+
+  // Same bid, other content (digest differs). Filled in by bid alone,
+  // it would convict: the claim omits its key 4 as well.
+  Block other = held;
+  other.entries.push_back(
+      Entry::Make(witness, 4, EncodePutPayload(4, Bytes(4, 1))));
+  dispute(other);
+  EXPECT_EQ(d.cloud().stats().disputes_received, 1u);
+  EXPECT_EQ(d.cloud().stats().disputes_upheld, 0u);
+  EXPECT_FALSE(d.cloud().IsFlagged(rogue.id()));
+
+  dispute(held);
+  EXPECT_EQ(d.cloud().stats().disputes_upheld, 1u);
+  EXPECT_TRUE(d.cloud().IsFlagged(rogue.id()));
+}
+
+// An edge that truncates a scan and also seals a reference the client
+// never listed gains nothing by it. The client's resolve step fails and
+// it disputes all the same; the cloud sets the unfillable slot aside and
+// convicts on the key the claim omits from the block sent in full.
+TEST(ScanIntegrationTest, TruncatedScanWithUnlistedReferenceStillConvicts) {
+  Deployment d(ScanDeployConfig());
+  d.Start();
+  KeyStore& ks = d.keystore();
+  Signer rogue = ks.Register(Role::kEdge, "rogue");
+  class NullEp : public Endpoint {
+    void OnMessage(NodeId, Slice, SimTime) override {}
+  } null_ep;
+  d.net().Attach(rogue.id(), Dc::kCalifornia, &null_ep);
+  Signer victim_signer = ks.Register(Role::kClient, "victim");
+  const NodeId victim_id = victim_signer.id();
+  WedgeClient victim(d.runtime().ExecutorFor(victim_id, ExecRole::kPooled),
+                     &d.transport(), &ks, std::move(victim_signer),
+                     rogue.id(), d.cloud().id(), Dc::kCalifornia,
+                     d.config().client, d.config().costs);
+  victim.Start();
+
+  Status status;
+  victim.Scan(0, 10, [&](const Status& s, const VerifiedScan&, SimTime) {
+    status = s;
+  });
+
+  // The reply to request 1: block 0 in full, holding keys 1..3, then a
+  // reference to block 1, which the request did not list. The claim
+  // omits key 3.
+  Block full;
+  full.id = 0;
+  for (Key k = 1; k <= 3; ++k) {
+    full.entries.push_back(
+        Entry::Make(rogue, k, EncodePutPayload(k, Bytes(4, 1))));
+  }
+  ScanResponse lie;
+  lie.req_id = 1;
+  lie.body.lo = 0;
+  lie.body.hi = 10;
+  lie.body.pairs = ExtractKvPairs(full);
+  lie.body.pairs.pop_back();
+  lie.body.l0_blocks = {std::make_shared<const Block>(full), nullptr};
+  lie.body.l0_certs = {std::nullopt, std::nullopt};
+  lie.body.l0_refs = {std::nullopt,
+                      BlockRef{1, Digest256::Of(Slice("never listed"))}};
+  d.net().Send(rogue.id(), victim_id,
+               Envelope::Seal(rogue, MsgType::kScanResponse, lie.Encode()));
+  d.sim().RunFor(3 * kSecond);
+
+  EXPECT_TRUE(status.IsSecurityViolation()) << status;
+  EXPECT_EQ(victim.stats().disputes_sent, 1u);
+  EXPECT_EQ(victim.stats().disputes_upheld, 1u);
+  EXPECT_TRUE(d.cloud().IsFlagged(rogue.id()));
+  EXPECT_TRUE(d.authority().IsPunished(rogue.id()));
 }
 
 TEST(ScanIntegrationTest, HonestScanNeverTriggersDispute) {

@@ -18,6 +18,8 @@ namespace {
 
 Bytes Val(uint8_t tag) { return Bytes(8, tag); }
 
+constexpr size_t kMaxHeld = 32;
+
 /// A populated edge: a merged level 1 (signed root) plus fresh certified
 /// L0 blocks on top — the steady state a reading client sees.
 class VerifierCacheTest : public ::testing::Test {
@@ -347,6 +349,126 @@ TEST_F(VerifierCacheTest, EvictionKeepsResultsCorrect) {
       EXPECT_TRUE(v->found);
     }
   }
+}
+
+// --------------------------------------------- held-block references
+
+/// The held-list entries for `held`, as a request carries them.
+std::vector<BlockRef> Hint(
+    const std::vector<std::shared_ptr<VerifierCache::BlockEntry>>& held) {
+  std::vector<BlockRef> refs;
+  for (const auto& e : held) refs.push_back({e->block->id, e->digest});
+  return refs;
+}
+
+TEST_F(VerifierCacheTest, HeldBlocksAreNewestFirstAboveTheFloor) {
+  auto body = AssembleGetResponse(tree_, log_, 17);
+  ASSERT_TRUE(
+      VerifyGetResponse(keystore_, edge_.id(), 17, body, CacheOpts()).ok());
+  // L0 holds blocks 4 and 5.
+  auto held = cache_.HeldBlocks(edge_.id(), 0, kMaxHeld);
+  ASSERT_EQ(held.size(), 2u);
+  EXPECT_EQ(held[0]->block->id, 5u);
+  EXPECT_EQ(held[1]->block->id, 4u);
+  EXPECT_EQ(held[0]->digest, held[0]->block->Digest());
+  EXPECT_EQ(cache_.HeldBlocks(edge_.id(), 5, kMaxHeld).size(), 1u);
+  EXPECT_TRUE(cache_.HeldBlocks(edge_.id(), 6, kMaxHeld).empty());
+  ASSERT_EQ(cache_.HeldBlocks(edge_.id(), 0, 1).size(), 1u);
+  EXPECT_EQ(cache_.HeldBlocks(edge_.id(), 0, 1)[0]->block->id, 5u);
+  EXPECT_TRUE(cache_.HeldBlocks(cloud_.id(), 0, kMaxHeld).empty());
+}
+
+// Slots sent as references resolve to the held objects themselves, and
+// the reply then verifies exactly like the full one — every L0 slot a
+// cache hit. Left unresolved, the verifiers refuse the reply.
+TEST_F(VerifierCacheTest, ResolvedReferencesVerifyLikeFullBlocks) {
+  const Key key = 17;  // lives in L0
+  auto full = AssembleGetResponse(tree_, log_, key);
+  auto want = VerifyGetResponse(keystore_, edge_.id(), key, full, CacheOpts());
+  ASSERT_TRUE(want.ok()) << want.status();
+  const auto held = cache_.HeldBlocks(edge_.id(), 0, kMaxHeld);
+
+  auto body = AssembleGetResponse(tree_, log_, key, false, Hint(held));
+  ASSERT_EQ(body.l0_blocks.size(), 2u);
+  EXPECT_EQ(body.l0_blocks[0], nullptr);
+  EXPECT_EQ(body.l0_blocks[1], nullptr);
+  EXPECT_TRUE(VerifyGetResponse(keystore_, edge_.id(), key, body, CacheOpts())
+                  .status()
+                  .IsSecurityViolation());
+
+  auto resolved =
+      VerifierCache::ResolveHeldRefs(held, body.l0_refs, &body.l0_blocks);
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+  EXPECT_EQ(*resolved, 2u);
+  EXPECT_EQ(body.l0_blocks[1], held[0]->block);
+  const auto before = cache_.stats();
+  auto got = VerifyGetResponse(keystore_, edge_.id(), key, body, CacheOpts());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->value, want->value);
+  EXPECT_EQ(got->version, want->version);
+  EXPECT_EQ(got->phase2, want->phase2);
+  EXPECT_EQ(cache_.stats().block_hits - before.block_hits, 2u);
+  EXPECT_EQ(cache_.stats().block_misses, before.block_misses);
+
+  // Scans resolve the same way; the unresolved scan is refused too.
+  auto scan = AssembleScanResponse(tree_, log_, 0, 23, false, Hint(held));
+  EXPECT_TRUE(VerifyScanResponse(keystore_, edge_.id(), 0, 23, scan,
+                                 CacheOpts())
+                  .status()
+                  .IsSecurityViolation());
+  ASSERT_TRUE(
+      VerifierCache::ResolveHeldRefs(held, scan.l0_refs, &scan.l0_blocks)
+          .ok());
+  auto verified =
+      VerifyScanResponse(keystore_, edge_.id(), 0, 23, scan, CacheOpts());
+  ASSERT_TRUE(verified.ok()) << verified.status();
+  EXPECT_EQ(verified->pairs.size(), 24u);
+}
+
+// The resolve step accepts only references to blocks the request listed,
+// with the listed digest: anything else is the edge lying.
+TEST_F(VerifierCacheTest, ReferenceToUnlistedOrOtherBlockIsViolation) {
+  const Key key = 17;
+  auto full = AssembleGetResponse(tree_, log_, key);
+  ASSERT_TRUE(
+      VerifyGetResponse(keystore_, edge_.id(), key, full, CacheOpts()).ok());
+  const auto held = cache_.HeldBlocks(edge_.id(), 0, kMaxHeld);
+  ASSERT_EQ(held.size(), 2u);
+
+  // The edge references both blocks; the request listed only block 5.
+  auto body = AssembleGetResponse(tree_, log_, key, false, Hint(held));
+  auto unlisted = VerifierCache::ResolveHeldRefs({held[0]}, body.l0_refs,
+                                                 &body.l0_blocks);
+  EXPECT_TRUE(unlisted.status().IsSecurityViolation()) << unlisted.status();
+  // The listed block is filled all the same: a dispute supplies it.
+  EXPECT_EQ(body.l0_blocks[0], nullptr);
+  EXPECT_EQ(body.l0_blocks[1], held[0]->block);
+
+  // Listed bid, other digest: the edge claims different content.
+  body = AssembleGetResponse(tree_, log_, key, false, Hint(held));
+  body.l0_refs[0]->digest = Digest256::Of(Slice("other block 4"));
+  auto other = VerifierCache::ResolveHeldRefs(held, body.l0_refs,
+                                              &body.l0_blocks);
+  EXPECT_TRUE(other.status().IsSecurityViolation()) << other.status();
+}
+
+// A pinned entry outlives its eviction: the reply resolves from the pin
+// and verifies without a second round trip.
+TEST_F(VerifierCacheTest, PinnedEntriesResolveAfterEviction) {
+  const Key key = 17;
+  auto full = AssembleGetResponse(tree_, log_, key);
+  ASSERT_TRUE(
+      VerifyGetResponse(keystore_, edge_.id(), key, full, CacheOpts()).ok());
+  const auto held = cache_.HeldBlocks(edge_.id(), 0, kMaxHeld);
+  auto body = AssembleGetResponse(tree_, log_, key, false, Hint(held));
+  cache_.Clear();  // everything evicted while the request was out
+
+  ASSERT_TRUE(
+      VerifierCache::ResolveHeldRefs(held, body.l0_refs, &body.l0_blocks)
+          .ok());
+  auto got = VerifyGetResponse(keystore_, edge_.id(), key, body, CacheOpts());
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->found);
 }
 
 }  // namespace

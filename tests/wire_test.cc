@@ -400,6 +400,16 @@ TEST_F(WireTest, ScanTruncationDisputeKindRoundTrips) {
   auto back = *Dispute::Decode(m.Encode());
   EXPECT_EQ(back.kind, DisputeKind::kScanTruncation);
   EXPECT_EQ(back.evidence, m.evidence);
+  EXPECT_TRUE(back.blocks.empty());
+
+  // The blocks a scan reply referenced travel next to the envelope.
+  m.blocks = {MakeBlock(3), MakeBlock(4)};
+  Bytes wire = m.Encode();
+  back = *Dispute::Decode(wire);
+  EXPECT_EQ(back.evidence, m.evidence);
+  EXPECT_EQ(back.blocks, m.blocks);
+  wire.resize(wire.size() - 1);
+  EXPECT_FALSE(Dispute::Decode(wire).ok());
 }
 
 TEST_F(WireTest, BlockProofRoundTrip) {
@@ -419,7 +429,7 @@ TEST_F(WireTest, CertifyRejectRoundTrip) {
 }
 
 TEST_F(WireTest, GetRequestResponseRoundTrip) {
-  GetRequest gr{11, 0xdeadULL};
+  GetRequest gr{11, 0xdeadULL, {}};
   auto back = *GetRequest::Decode(gr.Encode());
   EXPECT_EQ(back.key, 0xdeadULL);
 
@@ -432,6 +442,85 @@ TEST_F(WireTest, GetRequestResponseRoundTrip) {
   auto rback = *GetResponse::Decode(resp.Encode());
   EXPECT_EQ(rback.body.key, 0xdeadULL);
   EXPECT_EQ(rback.body.level_roots.size(), 2u);
+}
+
+// The held trailer of get and scan requests: (bid, digest) pairs, newest
+// first, round-trip in order; a cut-short trailer fails cleanly.
+TEST_F(WireTest, HeldTrailerRoundTrips) {
+  const std::vector<BlockRef> held = {{9, Digest256::Of(Slice("b9"))},
+                                      {8, Digest256::Of(Slice("b8"))},
+                                      {7, Digest256::Of(Slice("b7"))}};
+  GetRequest get{4, 77, held};
+  Bytes wire = get.Encode();
+  auto back = *GetRequest::Decode(wire);
+  EXPECT_EQ(back.key, 77u);
+  EXPECT_EQ(back.held, held);
+  EXPECT_TRUE(GetRequest::Decode(GetRequest{4, 77, {}}.Encode())->held.empty());
+
+  ScanRequest scan{5, 10, 20, held};
+  auto sback = *ScanRequest::Decode(scan.Encode());
+  EXPECT_EQ(sback.lo, 10u);
+  EXPECT_EQ(sback.hi, 20u);
+  EXPECT_EQ(sback.held, held);
+
+  // Cut inside the last pair, or before it: the count promises more.
+  for (size_t cut : {size_t{1}, size_t{40}}) {
+    Bytes short_wire(wire.begin(), wire.end() - static_cast<long>(cut));
+    EXPECT_FALSE(GetRequest::Decode(short_wire).ok()) << cut;
+  }
+  // A request without a trailer at all (the count missing) fails too.
+  Encoder bare;
+  bare.PutU64(4);
+  bare.PutU64(77);
+  EXPECT_FALSE(GetRequest::Decode(bare.TakeBuffer()).ok());
+}
+
+// A reply's L0 slots may mix full blocks and references; both survive the
+// round trip with their certificates, and a reference decodes as a null
+// block plus its (bid, digest).
+TEST_F(WireTest, ReferenceSlotsRoundTrip) {
+  const Block b0 = MakeBlock(20), b1 = MakeBlock(21), b2 = MakeBlock(22);
+  const BlockCertificate cert =
+      BlockCertificate::Make(cloud_, edge_.id(), 21, b1.Digest(), 3);
+  GetResponse resp;
+  resp.req_id = 6;
+  resp.body.key = 5;
+  resp.body.l0_blocks = {std::make_shared<const Block>(b0), nullptr,
+                         std::make_shared<const Block>(b2)};
+  resp.body.l0_certs = {std::nullopt, cert, std::nullopt};
+  resp.body.l0_refs = {std::nullopt, BlockRef{21, b1.Digest()},
+                       std::nullopt};
+  Bytes wire = resp.Encode();
+  auto back = *GetResponse::Decode(wire);
+  ASSERT_EQ(back.body.l0_blocks.size(), 3u);
+  EXPECT_EQ(*back.body.l0_blocks[0], b0);
+  EXPECT_EQ(back.body.l0_blocks[1], nullptr);
+  EXPECT_EQ(*back.body.l0_blocks[2], b2);
+  EXPECT_EQ(back.body.l0_refs[1], (BlockRef{21, b1.Digest()}));
+  EXPECT_FALSE(back.body.l0_refs[0].has_value());
+  EXPECT_EQ(back.body.l0_certs, resp.body.l0_certs);
+  // The reference replaces the block's bytes with 40 (bid + digest).
+  GetResponse full = resp;
+  full.body.l0_blocks[1] = std::make_shared<const Block>(b1);
+  full.body.l0_refs.clear();
+  EXPECT_EQ(wire.size() + b1.Encode().size(), full.Encode().size() + 40);
+
+  ScanResponse scan;
+  scan.req_id = 7;
+  scan.body.lo = 1;
+  scan.body.hi = 9;
+  scan.body.l0_blocks = resp.body.l0_blocks;
+  scan.body.l0_certs = resp.body.l0_certs;
+  scan.body.l0_refs = resp.body.l0_refs;
+  auto sback = *ScanResponse::Decode(scan.Encode());
+  EXPECT_EQ(sback.body.l0_refs, scan.body.l0_refs);
+  EXPECT_EQ(sback.body.l0_blocks[1], nullptr);
+  EXPECT_EQ(*sback.body.l0_blocks[2], b2);
+
+  // Every cut of the reply fails cleanly rather than half-decoding.
+  for (size_t len = 0; len < wire.size(); len += 7) {
+    EXPECT_FALSE(GetResponse::Decode(Slice(wire.data(), len)).ok()) << len;
+  }
 }
 
 TEST_F(WireTest, MergeRequestRoundTrip) {
