@@ -91,7 +91,7 @@ ExperimentConfig BaseConfig(bool smoke) {
   ExperimentConfig cfg;
   cfg.spec.read_fraction = 0.9;
   cfg.spec.ops_per_batch = 40;
-  cfg.spec.key_space = smoke ? 8000 : 20000;
+  cfg.spec.key_space = smoke ? 4000 : 20000;
   cfg.spec.hot_range = std::make_shared<HotRange>();
   cfg.spec.hot_range_fraction = 0.8;
   cfg.num_clients = 8;

@@ -79,9 +79,7 @@ Point RunPanel(const std::string& panel, bool smoke, bool split) {
       }
       epoch = report->epoch;
       pairs_moved = report->pairs_moved;
-      if (store.router_stats() != nullptr) {
-        parked = store.router_stats()->writes_parked;
-      }
+      parked = store.stats().router.writes_parked;
       std::printf(
           "  SplitShard(0): epoch %llu, moved [%llu, %llu] "
           "(%zu pairs) shard %zu -> %zu\n",

@@ -5,8 +5,8 @@
 // The backend sweep (BM_Sha256Backend/*) pins each compiled-in compressor
 // in turn; benches on unavailable ISAs self-skip. BM_Sha256HashMany is
 // the multi-buffer path the batch call sites (page sealing, L0 digest
-// runs, Merkle levels) ride. The session benches measure the v2 envelope
-// against the v1 per-message identity HMAC it replaced.
+// runs, Merkle levels) ride. BM_SessionSealOpen is one envelope's seal
+// plus open on a warm session channel.
 
 #include <benchmark/benchmark.h>
 
@@ -135,18 +135,6 @@ void BM_DigestCombineMany(benchmark::State& state) {
                           static_cast<int64_t>(pairs));
 }
 BENCHMARK(BM_DigestCombineMany)->Arg(16)->Arg(128)->Arg(1024);
-
-void BM_EnvelopeSealOpenV1(benchmark::State& state) {
-  KeyStore ks;
-  Signer client = ks.Register(Role::kClient, "client");
-  ks.Register(Role::kEdge, "edge");
-  const Bytes body = ReadRequest{1, 2}.Encode();
-  for (auto _ : state) {
-    Bytes wire = Envelope::Seal(client, MsgType::kReadRequest, body);
-    benchmark::DoNotOptimize(Envelope::Open(ks, wire));
-  }
-}
-BENCHMARK(BM_EnvelopeSealOpenV1);
 
 void BM_SessionSealOpen(benchmark::State& state) {
   KeyStore ks;

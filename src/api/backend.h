@@ -39,7 +39,7 @@ class ReshardingCoordinator;
 class AutoBalancer;
 
 /// Counters of the sharded routing layer (api/shard_router.h), exposed
-/// through StoreBackend::router_stats() / Store::router_stats().
+/// through StoreBackend::router_stats_snapshot() / Store::stats().
 struct RouterStats {
   /// Operations whose stale-epoch route differed from the current owner
   /// and were redirected (the deterministic retry, never an error).
@@ -247,15 +247,10 @@ class StoreBackend {
   /// unrouted store (ownership is the static single-shard function).
   virtual const OwnershipTable* ownership() const { return nullptr; }
   virtual const ReshardingCoordinator* resharding() const { return nullptr; }
-  virtual const RouterStats* router_stats() const { return nullptr; }
   /// Value-copy of the routing counters, safe while worker threads are
   /// routing concurrently (the ShardRouter override takes its stats
-  /// lock); zeroed on an unrouted store. Prefer this over the
-  /// router_stats() pointer anywhere a ThreadedRuntime may be live.
-  virtual RouterStats router_stats_snapshot() const {
-    const RouterStats* r = router_stats();
-    return r == nullptr ? RouterStats{} : *r;
-  }
+  /// lock); zeroed on an unrouted store.
+  virtual RouterStats router_stats_snapshot() const { return {}; }
   /// The autonomous lifecycle policy; null unless the store was opened
   /// with StoreOptions::WithAutoBalance.
   virtual const AutoBalancer* balancer() const { return nullptr; }

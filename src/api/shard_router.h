@@ -163,9 +163,6 @@ class ShardRouter : public StoreBackend, public ShardMigrationHost {
   const ReshardingCoordinator* resharding() const override {
     return coordinator_.get();
   }
-  /// Raw pointer into live counters — sim-only reads; concurrent callers
-  /// use router_stats_snapshot().
-  const RouterStats* router_stats() const override { return &stats_; }
   RouterStats router_stats_snapshot() const override;
   const AutoBalancer* balancer() const override { return balancer_.get(); }
 

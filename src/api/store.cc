@@ -137,6 +137,16 @@ Status ValidateOptions(const StoreOptions& options) {
         "StoreOptions: WithSocketTransport requires WithRuntime("
         "RuntimeKind::kThreaded) — the simulator has no real sockets");
   }
+  if (options.backend != BackendKind::kWedge &&
+      d.runtime.socket.mode() != SocketMode::kLocal) {
+    // Only the WedgeChain deployment splits its nodes by socket mode; a
+    // baseline would start every node in each process, a second cloud
+    // included.
+    return Status::InvalidArgument(
+        "StoreOptions: hub and spoke socket processes run only the "
+        "WedgeChain backend; the baselines need every node in one "
+        "process (WithSocketTransport() with no arguments)");
+  }
   if (options.balancer.enabled) {
     // The autonomous lifecycle actuates through SplitShard/MergeShards,
     // so it needs a routed store with range-expressible ownership: a
@@ -509,9 +519,6 @@ OwnershipEpoch Store::ownership_epoch() const {
 }
 const OwnershipTable* Store::ownership() const {
   return core_->backend->ownership();
-}
-const RouterStats* Store::router_stats() const {
-  return core_->backend->router_stats();
 }
 const ReshardingCoordinator* Store::resharding() const {
   return core_->backend->resharding();

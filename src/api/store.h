@@ -179,8 +179,6 @@ class Store {
   OwnershipEpoch ownership_epoch() const;
   /// The versioned ownership table (null on an unrouted store).
   const OwnershipTable* ownership() const;
-  /// Routing-layer counters (null on an unrouted store).
-  const RouterStats* router_stats() const;
   /// Migration counters and the applied-migration reports (null when
   /// unrouted).
   const ReshardingCoordinator* resharding() const;

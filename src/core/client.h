@@ -235,7 +235,7 @@ class WedgeClient : public Endpoint {
   Transport* net_;
   const KeyStore* keystore_;
   Signer signer_;
-  // Session channels (v2 envelopes). Initialized from signer_/keystore_;
+  // Session channels (wire/session.h). Initialized from signer_/keystore_;
   // counters are durable identity state, not volatile protocol state.
   SessionSealer sealer_;
   SessionOpener opener_;

@@ -117,7 +117,7 @@ class CloudNode : public Endpoint {
   const KeyStore* keystore_;
   TrustAuthority* authority_;
   Signer signer_;
-  // Session channels (v2 envelopes). Initialized from signer_/keystore_;
+  // Session channels (wire/session.h). Initialized from signer_/keystore_;
   // counters are durable identity state, not volatile protocol state.
   SessionSealer sealer_;
   SessionOpener opener_;

@@ -4,11 +4,13 @@
 // the deterministic simulator by default; DeploymentConfig::runtime
 // selects ThreadedRuntime for real-thread execution (edges and the
 // cloud each get a dedicated worker thread, clients share the driver
-// pool).
+// pool), optionally over TCP sockets.
 //
-// Used by integration tests, benchmarks, and examples — usually through
-// the wedge::Store façade (api/store.h), which owns a Deployment when
-// opened with BackendKind::kWedge.
+// Used by integration tests, benchmarks, examples and tools/wedged —
+// usually through the wedge::Store façade (api/store.h), which owns a
+// Deployment when opened with BackendKind::kWedge. One process of a
+// multi-process socket deployment builds the same Deployment as every
+// other and starts only its share of the nodes (see Start).
 
 #pragma once
 
@@ -104,15 +106,25 @@ class Deployment {
   /// order, i.e. nodes before topo_).
   ~Deployment() { topo_.runtime().Shutdown(); }
 
-  /// Attaches every node to the network and starts timers/gossip.
+  /// Attaches the nodes this process runs to the network and starts
+  /// timers/gossip. The socket mode decides which (SocketConfig::mode):
+  /// a hub starts the cloud and its gossip subscriptions, a spoke the
+  /// edges and clients, and every other runtime all of them.
   void Start() {
-    cloud_->Start();
-    for (auto& e : edges_) e->Start();
+    const SocketMode mode = config_.runtime.socket.mode();
+    const bool cloud_here = mode != SocketMode::kSpoke;
+    const bool edges_here = mode != SocketMode::kHub;
+    if (cloud_here) cloud_->Start();
+    if (edges_here) {
+      for (auto& e : edges_) e->Start();
+    }
     for (size_t i = 0; i < clients_.size(); ++i) {
-      clients_[i]->Start();
-      cloud_->SubscribeGossip(
-          clients_[i]->id(),
-          edges_[config_.HomeEdgeIndex(i, edges_.size())]->id());
+      if (edges_here) clients_[i]->Start();
+      if (cloud_here) {
+        cloud_->SubscribeGossip(
+            clients_[i]->id(),
+            edges_[config_.HomeEdgeIndex(i, edges_.size())]->id());
+      }
     }
   }
 

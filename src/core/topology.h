@@ -59,38 +59,22 @@ class Topology {
   Signer RegisterEdge(size_t i) {
     return keystore_.Register(Role::kEdge, "edge-" + std::to_string(i));
   }
-  Signer RegisterClient(size_t i) {
-    return keystore_.Register(Role::kClient, "client-" + std::to_string(i));
-  }
-  /// A sharded deployment runs one physical client per (logical client,
-  /// shard) pair; the name records both so logs and dispute records stay
-  /// attributable to the logical caller.
-  Signer RegisterClientShard(size_t logical, size_t shard) {
-    return keystore_.Register(Role::kClient, "client-" +
-                                                 std::to_string(logical) +
-                                                 ".s" + std::to_string(shard));
-  }
 
-  /// Registers `n` client identities and calls `make(signer, index)` for
-  /// each — the client-construction loop shared by all deployments.
-  template <typename MakeFn>
-  void MakeClients(size_t n, MakeFn make) {
-    for (size_t i = 0; i < n; ++i) make(RegisterClient(i), i);
-  }
-
-  /// Shard-aware variant: when `num_shards >= 1`, physical client
-  /// i = logical * num_shards + shard is registered under a name carrying
-  /// both coordinates, and `make(signer, i)` is called in the same flat
-  /// order MakeClients would use (the routing layer relies on exactly
-  /// this layout). With num_shards == 0, identical to MakeClients.
+  /// Registers `n` client identities and calls `make(signer, i)` for each
+  /// in index order — the client-construction loop shared by all
+  /// deployments. Unsharded (`num_shards == 0`) client i is "client-i".
+  /// Sharded, a deployment runs one physical client per (logical client,
+  /// shard) pair, i = logical * num_shards + shard (the routing layer
+  /// relies on exactly this layout), and the name records both, so logs
+  /// and dispute records stay attributable to the logical caller.
   template <typename MakeFn>
   void MakeShardedClients(size_t n, size_t num_shards, MakeFn make) {
-    if (num_shards == 0) {
-      MakeClients(n, make);
-      return;
-    }
     for (size_t i = 0; i < n; ++i) {
-      make(RegisterClientShard(i / num_shards, i % num_shards), i);
+      const std::string name =
+          num_shards == 0 ? "client-" + std::to_string(i)
+                          : "client-" + std::to_string(i / num_shards) +
+                                ".s" + std::to_string(i % num_shards);
+      make(keystore_.Register(Role::kClient, name), i);
     }
   }
 

@@ -66,18 +66,13 @@ Result<std::string> KeyStore::GetName(NodeId id) const {
 
 Status KeyStore::Verify(const Signature& sig, Slice message) const {
   auto it = identities_.find(sig.signer);
-  if (it != identities_.end() && it->second.revoked) {
-    return Status::FailedPrecondition("signer " + std::to_string(sig.signer) +
-                                      " has been revoked");
-  }
-  return VerifyHistorical(sig, message);
-}
-
-Status KeyStore::VerifyHistorical(const Signature& sig, Slice message) const {
-  auto it = identities_.find(sig.signer);
   if (it == identities_.end()) {
     return Status::NotFound("signature from unknown identity " +
                             std::to_string(sig.signer));
+  }
+  if (it->second.revoked) {
+    return Status::FailedPrecondition("signer " + std::to_string(sig.signer) +
+                                      " has been revoked");
   }
   Sha256Digest expected = it->second.mac_key.Mac(message);
   if (!CryptoEqual(Slice(expected.data(), expected.size()),

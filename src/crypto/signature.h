@@ -137,11 +137,6 @@ class KeyStore {
   ///  - SecurityViolation: tag mismatch
   Status Verify(const Signature& sig, Slice message) const;
 
-  /// Like Verify, but accepts signatures from revoked identities. Used
-  /// when adjudicating disputes: evidence signed by an edge before its
-  /// revocation must still be checkable.
-  Status VerifyHistorical(const Signature& sig, Slice message) const;
-
   /// The session key `sender` uses toward `receiver`. The KeyStore is the
   /// trusted directory (the PKI stand-in), so a receiver obtains the key
   /// of an inbound session here — it never learns the sender's identity

@@ -67,6 +67,20 @@ struct WanConfig {
   double jitter_frac = 0.0;
 };
 
+/// The share of a deployment one process runs, as SocketConfig::mode()
+/// derives it. Every process builds the whole deployment, so node ids
+/// and session keys agree without any exchange, and starts only the
+/// nodes of its mode; an unstarted node costs only its idle executor.
+enum class SocketMode : uint8_t {
+  /// Every node: the in-process transports, and sockets looped back to
+  /// this process.
+  kLocal,
+  /// The cloud and its gossip subscriptions; accepts and routes spokes.
+  kHub,
+  /// The edges and the clients; dials the hub.
+  kSpoke,
+};
+
 /// Socket deployment knobs for ThreadedRuntime. When `enabled`, the
 /// runtime routes inter-node frames through a SocketTransport (real
 /// TCP) instead of the in-process queues:
@@ -79,8 +93,8 @@ struct WanConfig {
 ///    process connects to itself and every frame still traverses a
 ///    real TCP socket (the conformance matrix's third leg).
 /// All processes of one deployment must share `secret_seed`; it derives
-/// the frame-MAC link key (the per-node v2 session envelopes ride on
-/// top, untouched).
+/// the frame-MAC link key (the per-node session envelopes ride on top,
+/// untouched).
 struct SocketConfig {
   bool enabled = false;
   /// Force hub mode (accept + route for spokes) even when listen_port
@@ -91,6 +105,15 @@ struct SocketConfig {
   std::string connect_host;
   uint16_t connect_port = 0;
   uint64_t secret_seed = 0;
+
+  /// A spoke if `connect_host` is set, else a hub if `hub` or
+  /// `listen_port` is set, else (and whenever sockets are off) kLocal.
+  SocketMode mode() const {
+    if (!enabled) return SocketMode::kLocal;
+    if (!connect_host.empty()) return SocketMode::kSpoke;
+    if (hub || listen_port != 0) return SocketMode::kHub;
+    return SocketMode::kLocal;
+  }
 };
 
 struct RuntimeConfig {

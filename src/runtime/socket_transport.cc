@@ -98,10 +98,10 @@ SocketTransport::SocketTransport(ThreadedRuntime* rt) : rt_(rt) {
   key_material.insert(key_material.end(), seed_bytes, seed_bytes + 8);
   link_key_ = HmacKey(Slice(key_material));
 
-  const bool spoke = !cfg.connect_host.empty();
-  if (!spoke) {
-    is_hub_ = cfg.hub || cfg.listen_port != 0;
-    is_loopback_ = !is_hub_;
+  const SocketMode mode = cfg.mode();
+  is_hub_ = mode == SocketMode::kHub;
+  is_loopback_ = mode == SocketMode::kLocal;
+  if (mode != SocketMode::kSpoke) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0) {
       std::perror("SocketTransport: socket");
@@ -127,7 +127,7 @@ SocketTransport::SocketTransport(ThreadedRuntime* rt) : rt_(rt) {
     SetNonBlocking(listen_fd_);
   }
 
-  if (spoke || is_loopback_) {
+  if (!is_hub_) {
     hub_link_ = std::make_shared<Conn>();
     conns_.push_back(hub_link_);
   }

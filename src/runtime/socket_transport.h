@@ -29,7 +29,7 @@
 // `counter` is per-connection and strictly increasing (reset only when
 // the connection itself is replaced), so replayed or spliced frames are
 // rejected (TransportStats::mac_rejects) before any payload parsing.
-// The per-node v2 session envelopes ride inside the payload, untouched:
+// The per-node session envelopes ride inside the payload, untouched:
 // the link MAC authenticates the pipe, the envelope MAC the principals.
 //
 // Fault-plane and WAN semantics are applied sender-side, before

@@ -19,10 +19,10 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "runtime/fault_plane.h"
+#include "runtime/transport.h"
 #include "simnet/cpu.h"
 #include "simnet/datacenter.h"
 #include "simnet/simulation.h"
-#include "simnet/transport.h"
 
 namespace wedge {
 

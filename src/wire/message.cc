@@ -72,18 +72,6 @@ std::string_view MsgTypeToString(MsgType type) {
   return "Unknown";
 }
 
-Bytes Envelope::Seal(const Signer& signer, MsgType type, Bytes body) {
-  Encoder signed_part;
-  signed_part.PutU8(static_cast<uint8_t>(type));
-  signed_part.PutBytes(body);
-  Signature sig = signer.Sign(signed_part.buffer());
-
-  Encoder out;
-  out.PutRaw(signed_part.buffer());
-  sig.EncodeTo(&out);
-  return out.TakeBuffer();
-}
-
 namespace {
 
 Result<MsgType> CheckType(uint8_t type_byte) {
@@ -95,12 +83,16 @@ Result<MsgType> CheckType(uint8_t type_byte) {
   return static_cast<MsgType>(type_byte);
 }
 
-// v2: [magic][type u8][sender u32][receiver u32][counter u64][body][mac32]
-Result<Envelope> ParseSession(Slice wire) {
+// [magic][type u8][sender u32][receiver u32][counter u64][body][mac32]
+Result<Envelope> Parse(Slice wire) {
   Decoder dec(wire);
   Envelope env;
-  env.sessioned = true;
-  WEDGE_RETURN_NOT_OK(dec.GetU8().status());  // magic, checked by caller
+  uint8_t magic = 0;
+  WEDGE_ASSIGN_OR_RETURN(magic, dec.GetU8());
+  if (magic != kSessionEnvelopeMagic) {
+    return Status::Corruption("not a session envelope (first byte " +
+                              std::to_string(magic) + ")");
+  }
   uint8_t type_byte = 0;
   WEDGE_ASSIGN_OR_RETURN(type_byte, dec.GetU8());
   WEDGE_ASSIGN_OR_RETURN(env.type, CheckType(type_byte));
@@ -114,43 +106,14 @@ Result<Envelope> ParseSession(Slice wire) {
   return env;
 }
 
-Result<Envelope> Parse(Slice wire) {
-  if (!wire.empty() && wire[0] == kSessionEnvelopeMagic) {
-    return ParseSession(wire);
-  }
-  Decoder dec(wire);
+// Parses `wire` and checks its MAC (everything before the trailing 32
+// bytes) against the session key the directory derives for (sender,
+// receiver). `historical` skips the revocation check for dispute
+// adjudication.
+Result<Envelope> ParseAndVerify(const KeyStore& keystore, Slice wire,
+                                bool historical) {
   Envelope env;
-  uint8_t type_byte = 0;
-  WEDGE_ASSIGN_OR_RETURN(type_byte, dec.GetU8());
-  WEDGE_ASSIGN_OR_RETURN(env.type, CheckType(type_byte));
-  WEDGE_ASSIGN_OR_RETURN(env.body, dec.GetBytes());
-  Signature sig;
-  WEDGE_ASSIGN_OR_RETURN(sig, Signature::DecodeFrom(&dec));
-  WEDGE_RETURN_NOT_OK(dec.ExpectDone());
-  env.sender = sig.signer;
-  env.raw = wire.ToBytes();
-  return env;
-}
-
-Bytes SignedPart(const Envelope& env) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(env.type));
-  enc.PutBytes(env.body);
-  return enc.TakeBuffer();
-}
-
-Result<Signature> ExtractSignature(Slice wire) {
-  // The signature is the trailing 36 bytes (u32 signer + 32-byte tag).
-  if (wire.size() < 36) return Status::Corruption("envelope too short");
-  Decoder dec(Slice(wire.data() + wire.size() - 36, 36));
-  return Signature::DecodeFrom(&dec);
-}
-
-// Checks the v2 MAC (everything before the trailing 32 bytes) against
-// the session key the directory derives for (sender, receiver).
-// `historical` skips the revocation check for dispute adjudication.
-Status VerifySessionTag(const KeyStore& keystore, const Envelope& env,
-                        Slice wire, bool historical) {
+  WEDGE_ASSIGN_OR_RETURN(env, Parse(wire));
   if (!historical && keystore.IsRevoked(env.sender)) {
     return Status::FailedPrecondition("sender " + std::to_string(env.sender) +
                                       " has been revoked");
@@ -165,40 +128,20 @@ Status VerifySessionTag(const KeyStore& keystore, const Envelope& env,
     return Status::SecurityViolation("session MAC verification failed for " +
                                      std::to_string(env.sender));
   }
-  return Status::OK();
+  return env;
 }
 
 }  // namespace
 
 Result<Envelope> Envelope::Open(const KeyStore& keystore, Slice wire) {
-  auto env = Parse(wire);
-  if (!env.ok()) return env.status();
-  if (env->sessioned) {
-    WEDGE_RETURN_NOT_OK(
-        VerifySessionTag(keystore, *env, wire, /*historical=*/false));
-    return env;
-  }
-  auto sig = ExtractSignature(wire);
-  if (!sig.ok()) return sig.status();
-  WEDGE_RETURN_NOT_OK(keystore.Verify(*sig, SignedPart(*env)));
-  return env;
+  return ParseAndVerify(keystore, wire, /*historical=*/false);
 }
 
 Result<Envelope> Envelope::OpenUnverified(Slice wire) { return Parse(wire); }
 
 Result<Envelope> Envelope::OpenHistorical(const KeyStore& keystore,
                                           Slice wire) {
-  auto env = Parse(wire);
-  if (!env.ok()) return env.status();
-  if (env->sessioned) {
-    WEDGE_RETURN_NOT_OK(
-        VerifySessionTag(keystore, *env, wire, /*historical=*/true));
-    return env;
-  }
-  auto sig = ExtractSignature(wire);
-  if (!sig.ok()) return sig.status();
-  WEDGE_RETURN_NOT_OK(keystore.VerifyHistorical(*sig, SignedPart(*env)));
-  return env;
+  return ParseAndVerify(keystore, wire, /*historical=*/true);
 }
 
 }  // namespace wedge

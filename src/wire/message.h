@@ -1,24 +1,21 @@
-// Message types and the signed envelope.
+// Message types and the sealed envelope.
 //
 // Every WedgeChain message travels inside an Envelope — the paper
-// requires all message exchanges to be signed (§IV-A). The raw envelope
-// bytes double as dispute evidence: a client that kept an edge's signed
-// response can later prove exactly what the edge said.
+// requires all message exchanges to be authenticated by their sender
+// (§IV-A). The raw envelope bytes double as dispute evidence: a client
+// that kept an edge's sealed response can later prove exactly what the
+// edge said.
 //
-// Two wire formats coexist:
-//   v1 (identity-signed):  [type u8][body][Signature: signer u32 + tag32]
-//       The tag is an identity-key HMAC over (type || body).
-//   v2 (session-sealed):   [0xD2][type u8][sender u32][receiver u32]
-//                          [counter u64][body][mac32]
-//       The tag is a MAC under the directed per-(sender, receiver)
-//       session key (see KeyStore::SessionKeyFor) over everything before
-//       it. The counter is per-connection monotonic: SessionOpener
-//       rejects any counter <= the last accepted one, which excludes
-//       replay and rollback while tolerating drops (forward gaps are
-//       legitimate — the fault plane loses messages).
-// The v2 magic 0xD2 lies above kMaxMsgType, so v1-only parsers reject
-// v2 envelopes as Corruption instead of misreading them; every parser
-// here accepts both formats.
+// One wire format:
+//   [0xD2][type u8][sender u32][receiver u32][counter u64][body][mac32]
+// The tag is a MAC under the directed per-(sender, receiver) session key
+// (see KeyStore::SessionKeyFor) over everything before it. The counter
+// is per-connection monotonic: SessionOpener rejects any counter <= the
+// last accepted one, which excludes replay and rollback while tolerating
+// drops (forward gaps are legitimate — the fault plane loses messages).
+// The leading magic byte lies above kMaxMsgType, so bytes in any other
+// layout, such as one that starts with its type byte, fail as Corruption
+// before any field is read.
 
 #pragma once
 
@@ -85,38 +82,32 @@ enum class MsgType : uint8_t {
 
 std::string_view MsgTypeToString(MsgType type);
 
-/// First byte of a v2 session-sealed envelope. Above kMaxMsgType by a
-/// wide margin so the two formats cannot be confused.
+/// First byte of every envelope. Above kMaxMsgType by a wide margin, so
+/// bytes that start with a type byte cannot pass for an envelope.
 inline constexpr uint8_t kSessionEnvelopeMagic = 0xD2;
 
 /// A parsed envelope. `raw` holds the exact bytes received, suitable for
-/// storage as dispute evidence. `receiver`/`counter` are only meaningful
-/// when `sessioned` (v2 format).
+/// storage as dispute evidence. Envelopes are sealed by SessionSealer
+/// (wire/session.h).
 struct Envelope {
   MsgType type = MsgType::kAddRequest;
   NodeId sender = kInvalidNodeId;
   NodeId receiver = kInvalidNodeId;
   uint64_t counter = 0;
-  bool sessioned = false;
   Bytes body;
   Bytes raw;
 
-  /// Serializes and signs a v1 message: [type u8][body bytes][signature].
-  /// Kept for compatibility and for contexts with no session state; the
-  /// hot paths seal with SessionSealer (wire/session.h).
-  static Bytes Seal(const Signer& signer, MsgType type, Bytes body);
-
-  /// Parses and verifies an envelope of either format. For v2 this
-  /// checks the session MAC and sender revocation but holds no
-  /// connection state — replay/counter enforcement needs SessionOpener.
-  /// SecurityViolation on a bad tag; Corruption on malformed bytes.
+  /// Parses and verifies an envelope: checks the session MAC and sender
+  /// revocation but holds no connection state — replay/counter
+  /// enforcement needs SessionOpener. SecurityViolation on a bad tag;
+  /// Corruption on malformed bytes.
   static Result<Envelope> Open(const KeyStore& keystore, Slice wire);
 
-  /// Parses either format without verifying the tag.
+  /// Parses an envelope without verifying the tag.
   static Result<Envelope> OpenUnverified(Slice wire);
 
   /// Like Open but accepts tags from revoked identities; used when
-  /// adjudicating dispute evidence signed before a revocation. v2
+  /// adjudicating dispute evidence sealed before a revocation. The
   /// evidence embeds (sender, receiver), so the directory can re-derive
   /// the session key without any connection state.
   static Result<Envelope> OpenHistorical(const KeyStore& keystore,

@@ -25,10 +25,6 @@ Bytes SessionSealer::Seal(NodeId receiver, MsgType type, const Bytes& body) {
 Result<Envelope> SessionOpener::Open(Slice wire) {
   Envelope env;
   WEDGE_ASSIGN_OR_RETURN(env, Envelope::OpenUnverified(wire));
-  if (!env.sessioned) {
-    // v1: fall back to the stateless identity-signature check.
-    return Envelope::Open(*keystore_, wire);
-  }
   if (env.receiver != self_) {
     return Status::SecurityViolation(
         "session envelope for " + std::to_string(env.receiver) +

@@ -1,11 +1,8 @@
-// Per-connection session sealing for envelopes (the v2 wire format).
+// Per-connection session sealing for envelopes (wire/message.h).
 //
-// v1 envelopes HMAC every message under the sender's identity key —
-// correct, but the two key-block compressions plus a full digest per
-// message show up on the warm read path. A session channel derives the
-// directed per-(sender, receiver) key once (KeyStore::SessionKeyFor /
-// Signer::SessionKeyTo), keeps its ipad/opad midstates, and stamps each
-// message with a monotonic counter:
+// A session channel derives the directed per-(sender, receiver) key once
+// (KeyStore::SessionKeyFor / Signer::SessionKeyTo), keeps its ipad/opad
+// midstates, and stamps each message with a monotonic counter:
 //
 //   - authenticity: the MAC key is derivable only by the sender and the
 //     trusted directory, so a tag still binds the sender (§IV-A) and
@@ -42,8 +39,8 @@ class SessionSealer {
   NodeId id() const { return signer_.id(); }
   const Signer& signer() const { return signer_; }
 
-  /// Seals `body` for `receiver` in the v2 format, consuming the next
-  /// counter value on that channel.
+  /// Seals `body` for `receiver`, consuming the next counter value on
+  /// that channel.
   Bytes Seal(NodeId receiver, MsgType type, const Bytes& body);
 
  private:
@@ -57,8 +54,7 @@ class SessionSealer {
 };
 
 /// Inbound half: opens envelopes addressed to `self`, tracking the
-/// highest accepted counter per peer. Accepts v1 envelopes unchanged
-/// (old format stays decodable).
+/// highest accepted counter per peer.
 class SessionOpener {
  public:
   SessionOpener() = default;

@@ -126,6 +126,19 @@ TEST_P(StoreApiTest, OpenValidatesOptions) {
     o.deploy.num_edges = 2;
     EXPECT_TRUE(Store::Open(o).status().IsInvalidArgument());
   }
+  if (GetParam() != BackendKind::kWedge) {
+    // Hub and spoke processes each start one side of a WedgeChain
+    // deployment; a baseline would start every node, a second cloud
+    // included. Both fail validation before any socket opens.
+    StoreOptions hub = SmallOptions(GetParam())
+                           .WithRuntime(RuntimeKind::kThreaded)
+                           .WithSocketTransport(/*listen_port=*/7000);
+    EXPECT_TRUE(Store::Open(hub).status().IsInvalidArgument());
+    StoreOptions spoke = SmallOptions(GetParam())
+                             .WithRuntime(RuntimeKind::kThreaded)
+                             .WithSocketTransport(0, "127.0.0.1", 7000);
+    EXPECT_TRUE(Store::Open(spoke).status().IsInvalidArgument());
+  }
 }
 
 // Scatter-gather MultiGet: positional results matching individual Gets,

@@ -16,6 +16,7 @@
 
 #include "api/store.h"
 #include "core/deployment.h"
+#include "wire/session.h"
 
 namespace wedge {
 namespace {
@@ -346,10 +347,15 @@ TEST(CoreAttackTest, DoubleCertifyFlaggedAtCloud) {
 
   BlockCertify c1{0, Digest256::Of(Slice("a"))};
   BlockCertify c2{0, Digest256::Of(Slice("b"))};
+  // One sealer for both: a fresh one would restart the counter, and the
+  // cloud would drop the second message as a replay.
+  SessionSealer sealer(rogue);
   d.net().Send(rogue.id(), d.cloud().id(),
-               Envelope::Seal(rogue, MsgType::kBlockCertify, c1.Encode()));
+               sealer.Seal(d.cloud().id(), MsgType::kBlockCertify,
+                           c1.Encode()));
   d.net().Send(rogue.id(), d.cloud().id(),
-               Envelope::Seal(rogue, MsgType::kBlockCertify, c2.Encode()));
+               sealer.Seal(d.cloud().id(), MsgType::kBlockCertify,
+                           c2.Encode()));
   d.sim().RunFor(kSecond);
 
   EXPECT_EQ(d.cloud().stats().equivocations_detected, 1u);
@@ -398,7 +404,9 @@ TEST(CoreAttackTest, ForgedGetReplyFromRogueNodeIgnored) {
   lie.body.l0_blocks = {std::make_shared<const Block>(forged)};
   lie.body.l0_certs = {std::nullopt};
   d.net().Send(rogue.id(), d.client().id(),
-               Envelope::Seal(rogue, MsgType::kGetResponse, lie.Encode()));
+               SessionSealer(rogue).Seal(d.client().id(),
+                                         MsgType::kGetResponse,
+                                         lie.Encode()));
   d.sim().RunFor(kSecond);
 
   ASSERT_TRUE(status.ok()) << status;

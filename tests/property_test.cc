@@ -25,6 +25,7 @@
 #include "storage/env.h"
 #include "storage/record_log.h"
 #include "wire/protocol.h"
+#include "wire/session.h"
 
 namespace wedge {
 namespace {
@@ -363,8 +364,8 @@ TEST_P(CodecFuzzTest, CorruptedMessagesFailCleanly) {
     BlockProof bp;
     bp.cert = BlockCertificate::Make(cloud, edge.id(), 3, b.Digest(), 50);
     corpus.push_back(bp.Encode());
-    corpus.push_back(
-        Envelope::Seal(edge, MsgType::kAddResponse, ar.Encode()));
+    corpus.push_back(SessionSealer(edge).Seal(
+        client.id(), MsgType::kAddResponse, ar.Encode()));
     GetResponse gr;
     gr.req_id = 2;
     gr.body.key = 9;

@@ -412,8 +412,7 @@ TEST_P(ReshardingStoreTest, LiveTrafficDuringMigration) {
   })) << "split never completed";
   ASSERT_TRUE(split_status.ok()) << split_status;
   if (Sim()) {
-    ASSERT_NE(store.router_stats(), nullptr);
-    EXPECT_GE(store.router_stats()->writes_parked, 1u);
+    EXPECT_GE(store.stats().router.writes_parked, 1u);
   }
 
   // The parked write beat the migrated (older) copy: newest wins.
@@ -787,8 +786,7 @@ TEST_P(ReshardingSecurityTest, TamperingSourceFailsTheMigration) {
       });
   store.backend().PutBatch(0, {{260, Val(9)}}, nullptr, nullptr);
   if (Sim()) {
-    ASSERT_NE(store.router_stats(), nullptr);
-    EXPECT_EQ(store.router_stats()->writes_parked, 1u);
+    EXPECT_EQ(store.stats().router.writes_parked, 1u);
   }
 
   ASSERT_TRUE(RunUntilTrue(store, [&] {
@@ -1015,14 +1013,13 @@ TEST(RouterRegressionTest, FullyFencedBatchRefreshesTheClientEpoch) {
         split_done = true;
       });
 
-  const RouterStats* stats = store.router_stats();
-  ASSERT_NE(stats, nullptr);
-  const uint64_t refreshes = stats->epoch_refreshes;
+  const uint64_t refreshes = store.stats().router.epoch_refreshes;
   // Client 1's batch falls entirely inside the fence: it parks, and the
   // parking path itself must refresh the stale epoch view.
   store.backend().PutBatch(1, {{800, Val(7)}}, nullptr, nullptr);
-  EXPECT_EQ(stats->writes_parked, 1u);
-  EXPECT_GT(stats->epoch_refreshes, refreshes)
+  const RouterStats parked = store.stats().router;
+  EXPECT_EQ(parked.writes_parked, 1u);
+  EXPECT_GT(parked.epoch_refreshes, refreshes)
       << "a fully-fenced batch must still refresh the client's epoch";
 
   store.RunFor(2 * kSecond);
@@ -1031,7 +1028,7 @@ TEST(RouterRegressionTest, FullyFencedBatchRefreshesTheClientEpoch) {
   // into the new owner's heat window (the window reset at install, so
   // the flushed write is its first entry).
   const size_t owner = store.ownership()->ShardOf(800);
-  EXPECT_GE(stats->ops_per_shard[owner], 1u)
+  EXPECT_GE(store.stats().router.ops_per_shard[owner], 1u)
       << "parked keys must join the heat window when they flush";
   auto got = store.Get(800);
   ASSERT_TRUE(got.ok()) << got.status();

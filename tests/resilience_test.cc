@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/deployment.h"
+#include "wire/session.h"
 
 namespace wedge {
 namespace {
@@ -97,7 +98,8 @@ TEST(ReservationTest, EdgeDropsEntryForStaleReservation) {
   req.req_id = 1;
   req.entries.push_back(stale);
   d.net().Send(rogue.id(), d.edge().id(),
-               Envelope::Seal(rogue, MsgType::kAddRequest, req.Encode()));
+               SessionSealer(rogue).Seal(d.edge().id(), MsgType::kAddRequest,
+                                         req.Encode()));
   d.sim().RunFor(kSecond);
   EXPECT_EQ(d.edge().stats().reservation_misses, 1u);
   EXPECT_EQ(d.edge().stats().entries_accepted, 0u);

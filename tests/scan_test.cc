@@ -13,6 +13,7 @@
 #include "lsmerkle/bloom.h"
 #include "lsmerkle/merge.h"
 #include "lsmerkle/scan_proof.h"
+#include "wire/session.h"
 
 namespace wedge {
 namespace {
@@ -564,9 +565,13 @@ TEST(ScanIntegrationTest, DisputeConvictsOnlyOnMatchingSuppliedBlock) {
   lie.body.l0_blocks = {nullptr};
   lie.body.l0_certs = {std::nullopt};
   lie.body.l0_refs = {BlockRef{0, held.Digest()}};
-  const Bytes evidence =
-      Envelope::Seal(rogue, MsgType::kScanResponse, lie.Encode());
+  const Bytes evidence = SessionSealer(rogue).Seal(
+      witness.id(), MsgType::kScanResponse, lie.Encode());
 
+  // The witness disputes twice, so both go through one sealer: a fresh
+  // one would restart the counter and the second dispute would die at
+  // the cloud as a replay.
+  SessionSealer witness_sealer(witness);
   auto dispute = [&](Block supplied) {
     Dispute m;
     m.kind = DisputeKind::kScanTruncation;
@@ -574,7 +579,8 @@ TEST(ScanIntegrationTest, DisputeConvictsOnlyOnMatchingSuppliedBlock) {
     m.evidence = evidence;
     m.blocks = {std::move(supplied)};
     d.net().Send(witness.id(), d.cloud().id(),
-                 Envelope::Seal(witness, MsgType::kDispute, m.Encode()));
+                 witness_sealer.Seal(d.cloud().id(), MsgType::kDispute,
+                                     m.Encode()));
     d.sim().RunFor(kSecond);
   };
 
@@ -639,7 +645,8 @@ TEST(ScanIntegrationTest, TruncatedScanWithUnlistedReferenceStillConvicts) {
   lie.body.l0_refs = {std::nullopt,
                       BlockRef{1, Digest256::Of(Slice("never listed"))}};
   d.net().Send(rogue.id(), victim_id,
-               Envelope::Seal(rogue, MsgType::kScanResponse, lie.Encode()));
+               SessionSealer(rogue).Seal(victim_id, MsgType::kScanResponse,
+                                         lie.Encode()));
   d.sim().RunFor(3 * kSecond);
 
   EXPECT_TRUE(status.IsSecurityViolation()) << status;

@@ -56,6 +56,23 @@ RuntimeConfig LoopbackConfig() {
   return cfg;
 }
 
+// One derivation decides both the transport's topology and which nodes
+// a Deployment starts.
+TEST(SocketTransportTest, ModeFollowsTheConfig) {
+  SocketConfig cfg;
+  cfg.connect_host = "127.0.0.1";
+  cfg.listen_port = 7000;
+  EXPECT_EQ(cfg.mode(), SocketMode::kLocal);  // sockets off
+  cfg.enabled = true;
+  EXPECT_EQ(cfg.mode(), SocketMode::kSpoke);  // a connect host wins
+  cfg.connect_host.clear();
+  EXPECT_EQ(cfg.mode(), SocketMode::kHub);
+  cfg.listen_port = 0;
+  EXPECT_EQ(cfg.mode(), SocketMode::kLocal);  // loopback
+  cfg.hub = true;
+  EXPECT_EQ(cfg.mode(), SocketMode::kHub);  // an ephemeral-port hub
+}
+
 TEST(SocketTransportTest, LoopbackRoundTripCountsFrames) {
   ThreadedRuntime rt(LoopbackConfig());
   auto& transport = static_cast<SocketTransport&>(rt.transport());

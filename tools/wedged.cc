@@ -1,17 +1,19 @@
-// wedged: a WedgeChain node process. Runs one role of a deployment on
-// the threaded runtime with the TCP SocketTransport, so the cloud and
-// an edge (plus its clients) can live in separate OS processes and talk
-// over real sockets — the deployment shape the paper's architecture
-// (§III) implies but the in-process runtimes only emulate.
+// wedged: a WedgeChain node process. Opens a wedge::Store on the
+// threaded runtime with the TCP SocketTransport and runs one side of the
+// deployment, so the cloud and an edge (plus its clients) can live in
+// separate OS processes and talk over real sockets — the deployment
+// shape the paper's architecture (§III) implies but the in-process
+// runtimes only emulate.
 //
 // Identity bootstrap: every process of one deployment is launched with
-// the same --seed and registers the FULL canonical identity set (cloud,
-// edge-0, client-0..N-1) in the same order, so NodeIds and session
-// secrets are bit-identical everywhere without any key exchange; each
-// process then constructs node objects only for its own role. Peer
-// discovery is the SocketTransport HELLO handshake: a spoke announces
-// its attachments to the hub, the hub replays known attachments to late
-// joiners and forwards spoke-to-spoke frames.
+// the same --seed and --clients, so each builds the same Deployment
+// (cloud, edge-0, client-0..N-1, registered in that order) and NodeIds
+// and session secrets are bit-identical everywhere without any key
+// exchange. The socket mode decides which nodes a process starts
+// (SocketConfig::mode): the hub starts the cloud, the spoke edge-0 and
+// the clients. Peer discovery is the SocketTransport HELLO handshake: a
+// spoke announces its attachments to the hub, the hub replays known
+// attachments to late joiners and forwards spoke-to-spoke frames.
 //
 // Roles:
 //   --role cloud   The hub. Listens (--listen PORT; 0 picks an
@@ -21,11 +23,11 @@
 //                  exit early, cleanly).
 //   --role edge    A spoke. Connects (--connect HOST:PORT), hosts
 //                  edge-0 and the clients, then drives a scripted
-//                  verified workload: --ops put-batches Phase I AND
-//                  Phase II committed (Phase II proves the full
-//                  cloud round trip over the socket), every value
-//                  read back through a proof-verified Get, and a
-//                  completeness-proof-verified Scan over the whole
+//                  verified workload through Store calls: --ops
+//                  put-batches Phase I AND Phase II committed (Phase II
+//                  proves the full cloud round trip over the socket),
+//                  every value read back through a proof-verified Get,
+//                  and a completeness-proof-verified Scan over the whole
 //                  range. Exit 0 only if all of it verified.
 //
 // Two-process smoke (what CI runs):
@@ -40,21 +42,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/client.h"
-#include "core/cloud_node.h"
-#include "core/config.h"
-#include "core/edge_node.h"
-#include "core/topology.h"
-#include "core/trust_authority.h"
-#include "runtime/runtime.h"
+#include "api/store.h"
+#include "core/deployment.h"
 #include "runtime/socket_transport.h"
 #include "runtime/threaded_runtime.h"
-#include "simnet/cost_model.h"
 
 using namespace wedge;
 
@@ -148,7 +143,9 @@ Args Parse(int argc, char** argv) {
   return a;
 }
 
-RuntimeConfig MakeRuntimeConfig(const Args& a) {
+/// The options every process of one deployment opens its Store with;
+/// only the socket half differs between the roles.
+StoreOptions MakeOptions(const Args& a) {
   RuntimeConfig rt;
   rt.kind = RuntimeKind::kThreaded;
   rt.socket.enabled = true;
@@ -160,62 +157,45 @@ RuntimeConfig MakeRuntimeConfig(const Args& a) {
     rt.socket.connect_host = a.connect_host;
     rt.socket.connect_port = a.connect_port;
   }
-  if (a.wan) {
-    rt.wan.enabled = true;
-    rt.wan.matrix = LatencyMatrix::Paper();
-  }
-  return rt;
+  StoreOptions o;
+  o.WithRuntimeConfig(rt)
+      .WithSeed(a.seed)
+      .WithClients(a.clients)
+      .WithLocations(a.edge_dc, a.edge_dc, a.cloud_dc)
+      .WithOpsPerBlock(4)              // seal fast so Phase II lands promptly
+      .WithProofTimeout(10 * kSecond)  // wall clock: absorb CI jitter
+      .WithOpTimeout(20 * kSecond);
+  if (a.wan) o.WithWan(LatencyMatrix::Paper());
+  return o;
 }
 
-/// The canonical identity set, in the exact order Deployment registers
-/// it. Every process calls this with the same seed-derived keystore, so
-/// ids and secrets agree across processes; each keeps only the signers
-/// its role constructs nodes from.
-struct Identities {
-  Signer cloud;
-  Signer edge;
-  std::vector<Signer> clients;
-};
-
-Identities RegisterAll(Topology& topo, size_t num_clients) {
-  Identities ids{topo.RegisterCloud(), topo.RegisterEdge(0), {}};
-  ids.clients.reserve(num_clients);
-  for (size_t i = 0; i < num_clients; ++i) {
-    ids.clients.push_back(topo.RegisterClient(i));
+Result<Store> OpenStore(const Args& a) {
+  auto opened = Store::Open(MakeOptions(a));
+  if (!opened.ok()) {
+    std::fprintf(stderr, "wedged: cannot open the store: %s\n",
+                 opened.status().ToString().c_str());
   }
-  return ids;
+  return opened;
 }
 
 // ----------------------------------------------------------- cloud role
 
 int RunCloud(const Args& a) {
-  Topology topo(a.seed, NetworkConfig{}, MakeRuntimeConfig(a));
-  Runtime& rt = topo.runtime();
-  TrustAuthority authority(&topo.keystore());
-  Identities ids = RegisterAll(topo, a.clients);
-  const NodeId edge_id = ids.edge.id();
-  std::vector<NodeId> client_ids;
-  for (const Signer& s : ids.clients) client_ids.push_back(s.id());
-
-  CloudNode cloud(rt.ExecutorFor(ids.cloud.id(), ExecRole::kDedicated),
-                  &topo.transport(), &topo.keystore(), &authority,
-                  std::move(ids.cloud), a.cloud_dc, CloudConfig{},
-                  CostModel{});
-  cloud.Start();
-  for (NodeId c : client_ids) cloud.SubscribeGossip(c, edge_id);
-
-  auto* socket = static_cast<ThreadedRuntime&>(rt).socket_transport();
-  const uint16_t port = socket != nullptr ? socket->listen_port() : 0;
+  auto opened = OpenStore(a);
+  if (!opened.ok()) return 1;
+  Store store = std::move(*opened);
+  const uint16_t port = static_cast<ThreadedRuntime&>(store.runtime())
+                            .socket_transport()
+                            ->listen_port();
   std::printf("wedged: cloud %llu listening on port %u (seed %llu)\n",
-              static_cast<unsigned long long>(cloud.id()), port,
-              static_cast<unsigned long long>(a.seed));
+              static_cast<unsigned long long>(store.wedge().cloud().id()),
+              port, static_cast<unsigned long long>(a.seed));
   std::fflush(stdout);
   if (!a.port_file.empty()) {
     FILE* f = std::fopen(a.port_file.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "wedged: cannot write --port-file %s\n",
                    a.port_file.c_str());
-      rt.Shutdown();
       return 1;
     }
     std::fprintf(f, "%u\n", port);
@@ -224,17 +204,17 @@ int RunCloud(const Args& a) {
 
   // Serve until the deadline or a clean signal; 100ms slices keep the
   // signal latency low without busy-waiting.
-  const SimTime deadline = rt.Now() + a.run_for_ms * kMillisecond;
-  while (!g_stop.load() && rt.Now() < deadline) {
-    rt.RunFor(100 * kMillisecond);
+  const SimTime deadline = store.now() + a.run_for_ms * kMillisecond;
+  while (!g_stop.load() && store.now() < deadline) {
+    store.RunFor(100 * kMillisecond);
   }
-  const TransportStats ts =
-      socket != nullptr ? socket->stats_snapshot() : TransportStats{};
-  rt.Shutdown();  // joins workers; safe to read node state below
+  const TransportStats ts = store.stats().transport;
+  store.runtime().Shutdown();  // joins workers; safe to read node state below
   std::printf(
       "wedged: cloud exiting (certified_blocks=%llu frames_in=%llu "
       "frames_out=%llu dropped=%llu mac_rejects=%llu)\n",
-      static_cast<unsigned long long>(cloud.stats().certified_blocks),
+      static_cast<unsigned long long>(
+          store.wedge().cloud().stats().certified_blocks),
       static_cast<unsigned long long>(ts.frames_in),
       static_cast<unsigned long long>(ts.frames_out),
       static_cast<unsigned long long>(ts.dropped),
@@ -244,35 +224,18 @@ int RunCloud(const Args& a) {
 
 // ------------------------------------------------------------ edge role
 
+Bytes ValueOf(Key k) { return Bytes(32, static_cast<uint8_t>(0xA0 + k)); }
+
 int RunEdge(const Args& a) {
-  Topology topo(a.seed, NetworkConfig{}, MakeRuntimeConfig(a));
-  Runtime& rt = topo.runtime();
-  Identities ids = RegisterAll(topo, a.clients);
-  const NodeId cloud_id = ids.cloud.id();
-
-  EdgeConfig edge_cfg;
-  edge_cfg.ops_per_block = 4;  // seal fast so Phase II lands promptly
-  ClientConfig client_cfg;
-  client_cfg.proof_timeout = 10 * kSecond;  // wall clock: absorb CI jitter
-
-  EdgeNode edge(rt.ExecutorFor(ids.edge.id(), ExecRole::kDedicated),
-                &topo.transport(), &topo.keystore(), std::move(ids.edge),
-                cloud_id, a.edge_dc, edge_cfg, CostModel{});
-  std::vector<std::unique_ptr<WedgeClient>> clients;
-  for (Signer& s : ids.clients) {
-    Executor* exec = rt.ExecutorFor(s.id(), ExecRole::kPooled);
-    clients.push_back(std::make_unique<WedgeClient>(
-        exec, &topo.transport(), &topo.keystore(), std::move(s), edge.id(),
-        cloud_id, a.edge_dc, client_cfg, CostModel{}));
-  }
-  edge.Start();
-  for (auto& c : clients) c->Start();
+  auto opened = OpenStore(a);
+  if (!opened.ok()) return 1;
+  Store store = std::move(*opened);
+  const size_t clients = store.client_count();
   std::printf("wedged: edge %llu + %zu clients connected to %s:%u\n",
-              static_cast<unsigned long long>(edge.id()), clients.size(),
-              a.connect_host.c_str(), a.connect_port);
+              static_cast<unsigned long long>(store.wedge().edge().id()),
+              clients, a.connect_host.c_str(), a.connect_port);
   std::fflush(stdout);
 
-  const SimTime kOpDeadline = 20 * kSecond;
   int rc = 0;
 
   // Scripted verified workload. Each batch must Phase-I- AND
@@ -280,31 +243,20 @@ int RunEdge(const Args& a) {
   // block and the proof came back through the socket, so one committed
   // batch certifies the whole transport path.
   const size_t batch = 4;
+  const size_t keys = a.ops * batch;
   for (size_t op = 0; op < a.ops && rc == 0; ++op) {
-    WedgeClient& c = *clients[op % clients.size()];
     std::vector<std::pair<Key, Bytes>> kvs;
     for (size_t j = 0; j < batch; ++j) {
       const Key k = op * batch + j;
-      kvs.emplace_back(k, Bytes(32, static_cast<uint8_t>(0xA0 + k)));
+      kvs.emplace_back(k, ValueOf(k));
     }
-    bool p1 = false, p2 = false;
-    Status s1, s2;
-    c.Invoke([&]() {
-      c.PutBatch(
-          kvs,
-          [&](const Status& s, BlockId, SimTime) {
-            rt.RunOnCompletion([&, s]() { s1 = s; p1 = true; });
-          },
-          [&](const Status& s, BlockId, SimTime) {
-            rt.RunOnCompletion([&, s]() { s2 = s; p2 = true; });
-          });
-    });
-    Status w = rt.WaitUntil(kOpDeadline, [&]() { return p1 && p2; });
-    if (!w.ok() || !s1.ok() || !s2.ok()) {
-      std::fprintf(stderr,
-                   "wedged: batch %zu failed (wait=%s p1=%s p2=%s)\n", op,
-                   w.ToString().c_str(), s1.ToString().c_str(),
-                   s2.ToString().c_str());
+    CommitHandle h = store.PutBatch(kvs, op % clients);
+    const auto p1 = h.WaitPhase1();
+    const auto p2 = h.WaitPhase2();
+    if (!p1.ok() || !p2.ok()) {
+      std::fprintf(stderr, "wedged: batch %zu failed (p1=%s p2=%s)\n", op,
+                   p1.status().ToString().c_str(),
+                   p2.status().ToString().c_str());
       rc = 1;
     }
   }
@@ -315,65 +267,34 @@ int RunEdge(const Args& a) {
 
   // Read every key back through the proof-verified path and check the
   // value round-tripped.
-  for (Key k = 0; rc == 0 && k < static_cast<Key>(a.ops * batch); ++k) {
-    WedgeClient& c = *clients[k % clients.size()];
-    bool done = false;
-    Status gs;
-    VerifiedGet got;
-    c.Invoke([&]() {
-      c.Get(k, [&](const Status& s, const VerifiedGet& g, SimTime) {
-        rt.RunOnCompletion([&, s, g]() {
-          gs = s;
-          got = g;
-          done = true;
-        });
-      });
-    });
-    Status w = rt.WaitUntil(kOpDeadline, [&]() { return done; });
-    const Bytes expect(32, static_cast<uint8_t>(0xA0 + k));
-    if (!w.ok() || !gs.ok() || !got.found || got.value != expect) {
+  for (Key k = 0; rc == 0 && k < static_cast<Key>(keys); ++k) {
+    const auto got = store.Get(k, k % clients);
+    if (!got.ok() || !got->verified || !got->found ||
+        got->value != ValueOf(k)) {
       std::fprintf(stderr, "wedged: verified get of key %llu failed (%s)\n",
                    static_cast<unsigned long long>(k),
-                   (!w.ok() ? w : gs).ToString().c_str());
+                   got.ok() ? "missing or wrong value"
+                            : got.status().ToString().c_str());
       rc = 1;
     }
   }
-  if (rc == 0) {
-    std::printf("wedged: %zu verified gets OK\n", a.ops * batch);
-  }
+  if (rc == 0) std::printf("wedged: %zu verified gets OK\n", keys);
 
   // One completeness-proof-verified scan over the whole written range:
   // a dropped key would surface as a SecurityViolation or a short result.
   if (rc == 0) {
-    WedgeClient& c = *clients[0];
-    bool done = false;
-    Status ss;
-    size_t pairs = 0;
-    c.Invoke([&]() {
-      c.Scan(0, a.ops * batch - 1,
-             [&](const Status& s, const VerifiedScan& v, SimTime) {
-               rt.RunOnCompletion([&, s, v]() {
-                 ss = s;
-                 pairs = v.pairs.size();
-                 done = true;
-               });
-             });
-    });
-    Status w = rt.WaitUntil(kOpDeadline, [&]() { return done; });
-    if (!w.ok() || !ss.ok() || pairs != a.ops * batch) {
+    const auto scan = store.Scan(0, keys - 1);
+    if (!scan.ok() || !scan->verified || scan->pairs.size() != keys) {
       std::fprintf(stderr, "wedged: verified scan failed (%s, %zu/%zu keys)\n",
-                   (!w.ok() ? w : ss).ToString().c_str(), pairs,
-                   a.ops * batch);
+                   scan.status().ToString().c_str(),
+                   scan.ok() ? scan->pairs.size() : size_t{0}, keys);
       rc = 1;
     } else {
-      std::printf("wedged: verified scan returned all %zu keys\n", pairs);
+      std::printf("wedged: verified scan returned all %zu keys\n", keys);
     }
   }
 
-  auto* socket = static_cast<ThreadedRuntime&>(rt).socket_transport();
-  const TransportStats ts =
-      socket != nullptr ? socket->stats_snapshot() : TransportStats{};
-  rt.Shutdown();  // before the nodes the workers reference are destroyed
+  const TransportStats ts = store.stats().transport;
   std::printf(
       "wedged: edge transport frames_in=%llu frames_out=%llu dropped=%llu "
       "mac_rejects=%llu reconnects=%llu\n",

@@ -3,12 +3,16 @@
 # run as separate OS processes and talk over 127.0.0.1 through the
 # SocketTransport. The edge drives a verified put/get/scan workload and
 # exits 0 only if every Phase II commit and every proof check passed;
-# the cloud exits 0 on a clean SIGTERM. Both exit codes must be zero.
+# the cloud exits 0 on a clean SIGTERM. Both exit codes must be zero,
+# and the hub's cloud must have certified blocks: Phase II that never
+# crossed to the hub would mean the spoke ran a cloud of its own.
 #
-# Usage: wedged_smoke.sh /path/to/wedged
+# Usage: wedged_smoke.sh /path/to/wedged [wedged flags for both roles]
+#   e.g. wedged_smoke.sh ./build/tools/wedged --wan --clients 3 --ops 5
 set -u
 
-WEDGED="${1:?usage: wedged_smoke.sh /path/to/wedged}"
+WEDGED="${1:?usage: wedged_smoke.sh /path/to/wedged [flags...]}"
+shift
 TMP="$(mktemp -d)"
 CLOUD_PID=""
 cleanup() {
@@ -21,13 +25,14 @@ trap cleanup EXIT
 # --listen 0 binds an ephemeral port; the port file doubles as the
 # "listener is up" signal.
 "$WEDGED" --role cloud --listen 0 --port-file "$TMP/port" \
-          --run-for-ms 60000 &
+          --run-for-ms 60000 "$@" > "$TMP/cloud.out" &
 CLOUD_PID=$!
 
 for _ in $(seq 1 100); do
   [ -s "$TMP/port" ] && break
   if ! kill -0 "$CLOUD_PID" 2>/dev/null; then
     echo "wedged_smoke: cloud died before binding" >&2
+    cat "$TMP/cloud.out"
     CLOUD_PID=""
     exit 1
   fi
@@ -39,13 +44,16 @@ if [ ! -s "$TMP/port" ]; then
 fi
 PORT="$(cat "$TMP/port")"
 
-"$WEDGED" --role edge --connect "127.0.0.1:$PORT"
+"$WEDGED" --role edge --connect "127.0.0.1:$PORT" "$@"
 EDGE_RC=$?
 
 kill -TERM "$CLOUD_PID" 2>/dev/null
 wait "$CLOUD_PID"
 CLOUD_RC=$?
 CLOUD_PID=""
+cat "$TMP/cloud.out"
 
-echo "wedged_smoke: edge rc=$EDGE_RC cloud rc=$CLOUD_RC"
-[ "$EDGE_RC" -eq 0 ] && [ "$CLOUD_RC" -eq 0 ]
+CERTIFIED="$(sed -n 's/.*certified_blocks=\([0-9]*\).*/\1/p' "$TMP/cloud.out")"
+echo "wedged_smoke: edge rc=$EDGE_RC cloud rc=$CLOUD_RC" \
+     "hub certified_blocks=${CERTIFIED:-none}"
+[ "$EDGE_RC" -eq 0 ] && [ "$CLOUD_RC" -eq 0 ] && [ "${CERTIFIED:-0}" -gt 0 ]
