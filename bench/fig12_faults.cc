@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
 
   // -- cloud outage: Phase I keeps committing; track the backlog.
   store.runtime().faults().CrashNode(store.wedge().cloud().id());
-  std::vector<CommitHandle> backlog;
+  std::vector<AsyncCommit> backlog;
   const int backlog_writes = smoke ? 6 : 20;
   uint64_t outage_phase1 = 0;
   for (int i = 0; i < backlog_writes; ++i) {

@@ -41,7 +41,7 @@ StoreOptions MakeStoreOptions(BackendKind kind, const ExperimentConfig& cfg) {
 /// production).
 void Preload(Store& store, const ExperimentConfig& cfg) {
   if (cfg.preload_keys == 0) return;
-  StoreBackend* backend = &store.backend();
+  ShardRouter* router = &store.router();
   const size_t total = cfg.preload_keys;
   auto key_at = [total, striped = cfg.striped_preload](size_t i) -> Key {
     if (!striped) return i;
@@ -67,7 +67,7 @@ void Preload(Store& store, const ExperimentConfig& cfg) {
     for (size_t i = 0; i < n; ++i) {
       kvs.emplace_back(key_at((*issued)++), Bytes(cfg.spec.value_size, 0x11));
     }
-    backend->PutBatch(
+    router->PutBatch(
         0, kvs,
         [loop = self.lock()](const Status&, BlockId, SimTime) { (*loop)(); },
         nullptr);
@@ -104,20 +104,18 @@ ExperimentResult RunSystem(BackendKind kind, const ExperimentConfig& cfg) {
   RunMetrics metrics;
   const SimTime measure_start = store.now() + cfg.warmup;
   const SimTime end = measure_start + cfg.measure;
-  StoreBackend* backend = &store.backend();
+  ShardRouter* router = &store.router();
+  Simulation* sim = &store.sim();
 
   // Sharded runs get the per-edge breakdown: each op is attributed to
   // the edge owning its key — the router's own OwnershipTable under its
   // *current* epoch (so a mid-run split re-attributes the migrated range
-  // to its new owner), with the static Partitioner as the unrouted
-  // fallback. Attribution and routing cannot disagree.
-  const Partitioner part = backend->partitioner();
-  const OwnershipTable* ownership = backend->ownership();
-  auto shard_of = [ownership, part](Key k) {
-    return ownership != nullptr ? ownership->ShardOf(k) : part.ShardOf(k);
-  };
-  const bool per_edge = backend->shard_count() > 1;
-  if (per_edge) metrics.per_edge.resize(backend->shard_count());
+  // to its new owner). Attribution and routing cannot disagree.
+  const OwnershipTable* ownership = &router->ownership();
+  const Partitioner& part = ownership->seed();
+  auto shard_of = [ownership](Key k) { return ownership->ShardOf(k); };
+  const bool per_edge = ownership->capacity() > 1;
+  if (per_edge) metrics.per_edge.resize(ownership->capacity());
   auto in_window = [measure_start, end](SimTime t) {
     return t >= measure_start && t < end;
   };
@@ -132,7 +130,7 @@ ExperimentResult RunSystem(BackendKind kind, const ExperimentConfig& cfg) {
   for (size_t i = 0; i < cfg.num_clients; ++i) {
     ClosedLoopDriver::Adapters ad;
     const bool wait_phase2 = cfg.wait_phase2;
-    ad.write_batch = [backend, i, wait_phase2, per_edge, shard_of, in_window,
+    ad.write_batch = [router, i, wait_phase2, per_edge, shard_of, in_window,
                       &metrics](const std::vector<std::pair<Key, Bytes>>& kvs,
                                 ClosedLoopDriver::DoneCb commit,
                                 ClosedLoopDriver::DoneCb final_cb) {
@@ -151,7 +149,7 @@ ExperimentResult RunSystem(BackendKind kind, const ExperimentConfig& cfg) {
           bytes += kv.second.size();
         }
       }
-      backend->PutBatch(
+      router->PutBatch(
           i, kvs,
           [commit, wait_phase2, routed, in_window, &metrics](
               const Status& s, BlockId, SimTime t) {
@@ -169,29 +167,29 @@ ExperimentResult RunSystem(BackendKind kind, const ExperimentConfig& cfg) {
             if (s.ok() && final_cb) final_cb(t);
           });
     };
-    ad.read = [backend, i, per_edge, shard_of, in_window, &metrics](
+    ad.read = [router, sim, i, per_edge, shard_of, in_window, &metrics](
                   Key k, ClosedLoopDriver::DoneCb done) {
-      const SimTime started = backend->sim().now();
-      backend->Get(i, k,
-                   [done, k, started, per_edge, shard_of, in_window,
-                    &metrics](const Status& s, GetResult r, SimTime t) {
-                     if (s.ok() && in_window(t)) {
-                       if (metrics.mark != 0) {
-                         if (t < metrics.mark) {
-                           metrics.reads_pre_mark++;
-                         } else {
-                           metrics.reads_post_mark++;
-                         }
-                       }
-                       if (per_edge) {
-                         EdgeLoadMetrics& e = metrics.per_edge[shard_of(k)];
-                         e.read_ops++;
-                         e.bytes_read += r.value.size();
-                         e.read_latency.Record(t - started);
-                       }
-                     }
-                     if (done) done(t);
-                   });
+      const SimTime started = sim->now();
+      router->Get(i, k,
+                  [done, k, started, per_edge, shard_of, in_window,
+                   &metrics](const Status& s, GetResult r, SimTime t) {
+                    if (s.ok() && in_window(t)) {
+                      if (metrics.mark != 0) {
+                        if (t < metrics.mark) {
+                          metrics.reads_pre_mark++;
+                        } else {
+                          metrics.reads_post_mark++;
+                        }
+                      }
+                      if (per_edge) {
+                        EdgeLoadMetrics& e = metrics.per_edge[shard_of(k)];
+                        e.read_ops++;
+                        e.bytes_read += r.value.size();
+                        e.read_latency.Record(t - started);
+                      }
+                    }
+                    if (done) done(t);
+                  });
     };
     drivers.push_back(std::make_unique<ClosedLoopDriver>(
         &store.sim(), std::move(ad), cfg.spec, cfg.seed + 100 + i, &metrics,

@@ -21,8 +21,8 @@ namespace wedge {
 struct ExperimentConfig {
   WorkloadSpec spec;
   size_t num_clients = 1;
-  /// Edge nodes; with num_shards == 0 these are legacy round-robin
-  /// partitions (one per client group), otherwise shard s lives on edge s.
+  /// Edge nodes; with num_shards == 0 clients are pinned round-robin
+  /// (client i on edge i % num_edges), otherwise shard s lives on edge s.
   size_t num_edges = 1;
   /// Key shards routed by the api-layer ShardRouter; 0 = unsharded.
   size_t num_shards = 0;
@@ -76,7 +76,7 @@ struct ExperimentResult {
   RunMetrics metrics;
   NetworkStats net;
   /// Sharding/migration/balancer snapshot taken at the end of the run
-  /// (Store::stats(); defaulted for unrouted experiments).
+  /// (Store::stats()).
   StoreStats final_stats;
   /// Convenience: mean commit latency in ms.
   double write_ms = 0;

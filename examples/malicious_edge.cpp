@@ -56,7 +56,7 @@ int main() {
     mis.victim = store.wedge().client(1).id();
 
     store.Append({Bytes{'r', 'e', 'a', 'l'}}, 0);
-    CommitHandle victim_write = store.Append({Bytes{'m', 'i', 'n', 'e'}}, 1);
+    AsyncCommit victim_write = store.Append({Bytes{'m', 'i', 'n', 'e'}}, 1);
     auto verdict = victim_write.WaitPhase2();
     std::printf("  [%6.1f ms] victim's Phase II: %s\n", store.now() / 1000.0,
                 verdict.status().ToString().c_str());

@@ -32,7 +32,7 @@ int main() {
   // 2. Append a batch of entries. Phase I commits at the edge in ~15 ms;
   //    Phase II completes once the cloud certifies the block's digest
   //    (data-free: only 32 bytes cross the WAN).
-  CommitHandle write = store.Append({
+  AsyncCommit write = store.Append({
       Bytes{'t', 'e', 'm', 'p', '=', '2', '1'},
       Bytes{'t', 'e', 'm', 'p', '=', '2', '2'},
       Bytes{'h', 'u', 'm', '=', '4', '0'},

@@ -46,7 +46,7 @@ int main() {
   // --- Normal traffic: sensors stream readings; Phase I commits keep the
   // control loop at edge latency.
   std::printf("Phase 1: normal traffic flows\n");
-  CommitHandle a =
+  AsyncCommit a =
       store.Append({Reading("hwy17N", 95), Reading("hwy17N", 97)}, sensor_a);
   store.Append({Reading("hwy17S", 88), Reading("hwy17S", 90)}, sensor_b);
   store.Append({Reading("cam-3rd-st", 40), Reading("cam-3rd-st", 42)},
@@ -62,7 +62,7 @@ int main() {
   // waiting for the far-away cloud.
   std::printf("\nPhase 2: accident on highway 17 north\n");
   const SimTime incident_at = store.now();
-  CommitHandle incident = store.Append(
+  AsyncCommit incident = store.Append(
       {Reading("hwy17N", 4), Bytes{'A', 'C', 'C', 'I', 'D', 'E', 'N', 'T'}},
       sensor_a);
   // Meanwhile sensors keep streaming; the edge never blocks on the cloud.

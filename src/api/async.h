@@ -164,8 +164,7 @@ bool SettleOp(const std::shared_ptr<AsyncOpState<T>>& st, const Status& s,
   return true;
 }
 
-/// Shared state of a two-phase write handle. Both the async AsyncCommit
-/// and the sync CommitHandle are views over this.
+/// Shared state of a two-phase write handle (AsyncCommit).
 struct AsyncCommitState {
   std::mutex mu;
   bool p1_settled = false;
@@ -236,7 +235,7 @@ inline bool SettleCommit(const std::shared_ptr<AsyncCommitState>& st,
 
 /// Handle to one in-flight single-completion operation (Get / MultiGet /
 /// Scan / ReadBlock). Copyable; copies share the state. Keeps the
-/// deployment alive (like CommitHandle); destroying every handle with
+/// deployment alive (like AsyncCommit); destroying every handle with
 /// the op still in flight is safe — the completion settles unobserved.
 template <typename T>
 class AsyncOp {
@@ -293,8 +292,9 @@ class AsyncOp {
   std::shared_ptr<api_internal::AsyncOpState<T>> state_;
 };
 
-/// Handle to one in-flight two-phase write (AsyncPut / AsyncPutBatch /
-/// AsyncAppend). Phase I settles before Phase II, always.
+/// Handle to one in-flight two-phase write (Put / PutBatch / Append and
+/// their Async* forms). Copyable; copies share the state and keep the
+/// deployment alive. Phase I settles before Phase II, always.
 class AsyncCommit {
  public:
   /// Internal — built by Store's Async* methods.
@@ -345,7 +345,11 @@ class AsyncCommit {
                                [gate] { gate->CountCancelled(); });
   }
 
-  /// Synchronous wrappers over the phase completions (see CommitHandle).
+  /// Pumps the runtime until Phase I commits (temporary, edge-local for
+  /// WedgeChain). Returns the commit, or the failure that ended the
+  /// phase (DeadlineExceeded if the time budget elapsed first).
+  /// `deadline` overrides StoreOptions::op_timeout for this wait; 0
+  /// keeps the store-wide budget.
   Result<Commit> WaitPhase1(SimTime deadline = 0) {
     auto* st = state_.get();
     WEDGE_RETURN_NOT_OK(api_internal::PumpCore(
@@ -354,6 +358,9 @@ class AsyncCommit {
     if (!state_->phase1_status.ok()) return state_->phase1_status;
     return state_->phase1;
   }
+  /// Pumps the runtime until Phase II commits (cloud-certified). For the
+  /// baselines this is the same commit point as Phase I. A lying edge
+  /// surfaces here as SecurityViolation / MaliciousBehavior.
   Result<Commit> WaitPhase2(SimTime deadline = 0) {
     auto* st = state_.get();
     WEDGE_RETURN_NOT_OK(api_internal::PumpCore(

@@ -1,12 +1,13 @@
-// StoreBackend: the deployment-neutral seam under wedge::Store.
+// StoreBackend: the per-physical-client seam under the ShardRouter.
 //
 // Each of the paper's three systems adapts its client API onto this
-// asynchronous interface; the Store turns it into synchronous Result<T>
-// calls and CommitHandles by waiting on the deployment's runtime —
-// stepping the simulator under SimRuntime, blocking on a condition
-// variable under ThreadedRuntime. The bench harness drives the
-// asynchronous form directly (closed-loop clients must not block each
-// other).
+// asynchronous interface, addressed by physical client index. Every
+// Store routes through one ShardRouter (api/shard_router.h), which maps
+// logical clients and keys onto these physical clients; the Store turns
+// the router's callbacks into synchronous Result<T> calls and commit
+// handles by waiting on the deployment's runtime — stepping the
+// simulator under SimRuntime, blocking on a condition variable under
+// ThreadedRuntime.
 //
 // Commit contract: `on_phase1` fires at the commit the paper calls
 // Phase I (temporary, edge-local for WedgeChain); `on_phase2` at the
@@ -22,9 +23,6 @@
 #include <vector>
 
 #include "api/options.h"
-#include "core/balancer.h"
-#include "core/partitioner.h"
-#include "core/resharding.h"
 #include "log/block.h"
 #include "lsmerkle/kv.h"
 #include "lsmerkle/verifier_cache.h"
@@ -35,61 +33,6 @@ namespace wedge {
 class Deployment;
 class EdgeBaselineDeployment;
 class CloudOnlyDeployment;
-class ReshardingCoordinator;
-class AutoBalancer;
-
-/// Counters of the sharded routing layer (api/shard_router.h), exposed
-/// through StoreBackend::router_stats_snapshot() / Store::stats().
-struct RouterStats {
-  /// Operations whose stale-epoch route differed from the current owner
-  /// and were redirected (the deterministic retry, never an error).
-  uint64_t stale_redirects = 0;
-  /// Logical-client epoch views refreshed to the current epoch.
-  uint64_t epoch_refreshes = 0;
-  /// Write sub-batches parked by a migration fence and flushed at epoch
-  /// install (or on an aborted split, back to the unchanged owner).
-  uint64_t writes_parked = 0;
-  /// Reads served from the cloud's backup because the owning edge was
-  /// crashed or partitioned away (failure-aware degrade: slower, still
-  /// verified against the cloud's certificate).
-  uint64_t failovers = 0;
-  /// Writes and scans refused with Unavailable because the owning edge
-  /// was unreachable (they cannot be cloud-served; failing fast beats
-  /// hanging until the op deadline).
-  uint64_t unreachable_rejects = 0;
-  /// Keyed operations routed per shard slot since the last epoch change
-  /// — the heat signal Rebalance (and the AutoBalancer's watermark
-  /// policy) picks its victims by. Writes parked by a migration fence
-  /// count here when they flush, attributed to the owner they commit
-  /// on.
-  std::vector<uint64_t> ops_per_shard;
-  /// Richer per-shard load: read-latency histograms and byte counters,
-  /// cumulative since Open (NOT reset on epoch installs, unlike
-  /// ops_per_shard). Fed to the AutoBalancer via Hooks::signals so
-  /// future watermarks can act on p99/bytes; empty on unrouted stores.
-  ShardSignals load;
-};
-
-/// One-call observability snapshot of a store's sharding machinery
-/// (Store::stats()): current ownership epoch plus the routing,
-/// migration, and autonomous-balancing counters. All fields are
-/// value-copies taken at the call; unrouted stores report epoch 1 and
-/// zeroed counters.
-struct StoreStats {
-  OwnershipEpoch epoch = 1;
-  size_t live_shards = 1;
-  RouterStats router;
-  ReshardingCoordinator::Stats resharding;
-  BalancerStats balancer;
-  /// Transport-level message counters of the underlying runtime (same
-  /// shape on both runtimes; `dropped` includes fault-plane drops).
-  TransportStats transport;
-  /// Injected-fault counters (Runtime::faults().stats()).
-  FaultStats faults;
-  /// Async-surface admission and lifecycle counters (always populated;
-  /// zeros when nothing used the async surface).
-  AsyncStats async;
-};
 
 /// One committed write phase: the block that carries the write and the
 /// virtual time the phase completed.
@@ -134,22 +77,12 @@ struct BlockRead {
   SimTime at = 0;
 };
 
-/// Trust-severity status merge for fan-out joins: the first error wins,
-/// except that a security-class status (a detected lie) always displaces
-/// a benign one — a slow or unavailable shard must never mask a
-/// tampering shard.
-void MergeStatusBySeverity(Status* into, const Status& s);
-
 class StoreBackend {
  public:
   using CommitCb = std::function<void(const Status&, BlockId, SimTime)>;
   using GetCb = std::function<void(const Status&, GetResult, SimTime)>;
   using ScanCb = std::function<void(const Status&, ScanResult, SimTime)>;
-  using MultiGetCb =
-      std::function<void(const Status&, MultiGetResult, SimTime)>;
   using ReadBlockCb = std::function<void(const Status&, BlockRead, SimTime)>;
-  using SplitCb =
-      std::function<void(const Status&, const SplitReport&, SimTime)>;
 
   virtual ~StoreBackend() = default;
 
@@ -167,17 +100,6 @@ class StoreBackend {
   /// abort under ThreadedRuntime. Runtime-neutral callers use runtime().
   virtual Simulation& sim() = 0;
   virtual SimNetwork& net() = 0;
-  virtual size_t client_count() const = 0;
-
-  /// Key partitioning this backend routes with. The default (unsharded)
-  /// is a single shard owning every key; the ShardRouter decorator
-  /// returns the real partition function, which callers (bench harness,
-  /// workload generators) must share to attribute keys to edges.
-  virtual const Partitioner& partitioner() const {
-    static const Partitioner kSingle;
-    return kSingle;
-  }
-  virtual size_t shard_count() const { return partitioner().shards(); }
 
   /// Applies a batch of key-value puts as client `client`.
   virtual void PutBatch(size_t client,
@@ -213,47 +135,11 @@ class StoreBackend {
     Get(client, key, std::move(cb));
   }
 
-  /// Batched point reads: all keys issued concurrently (the sharded
-  /// router scatter-gathers them per owning shard), results positionally
-  /// aligned with `keys`. Any failing key fails the whole batch, with
-  /// security-class failures taking precedence.
-  virtual void MultiGet(size_t client, const std::vector<Key>& keys,
-                        MultiGetCb cb);
-
   virtual void Scan(size_t client, Key lo, Key hi, ScanCb cb) = 0;
 
   /// Reads log block `bid`: proof-verified on the edge systems, trusted
   /// on cloud-only.
   virtual void ReadBlock(size_t client, BlockId bid, ReadBlockCb cb) = 0;
-
-  // ---- resharding ----------------------------------------------------
-  // Implemented by the ShardRouter decorator; the base backend has a
-  // single static shard and refuses.
-
-  /// Splits `shard`'s key range via verified live migration (see
-  /// core/resharding.h). FailedPrecondition on an unrouted store.
-  virtual void SplitShard(size_t shard, SplitCb cb);
-
-  /// The inverse migration: folds `shard`'s slice into its adjacent
-  /// neighbour and returns the freed slot to the idle pool.
-  /// FailedPrecondition on an unrouted store.
-  virtual void MergeShards(size_t shard, SplitCb cb);
-
-  /// Splits the busiest live shard (by routed operations since the last
-  /// epoch change) into the first idle slot.
-  virtual void Rebalance(SplitCb cb);
-
-  /// The versioned ownership map a routed store consults; null on an
-  /// unrouted store (ownership is the static single-shard function).
-  virtual const OwnershipTable* ownership() const { return nullptr; }
-  virtual const ReshardingCoordinator* resharding() const { return nullptr; }
-  /// Value-copy of the routing counters, safe while worker threads are
-  /// routing concurrently (the ShardRouter override takes its stats
-  /// lock); zeroed on an unrouted store.
-  virtual RouterStats router_stats_snapshot() const { return {}; }
-  /// The autonomous lifecycle policy; null unless the store was opened
-  /// with StoreOptions::WithAutoBalance.
-  virtual const AutoBalancer* balancer() const { return nullptr; }
 
   // ---- verifier-cache management ------------------------------------
   // Per-physical-client hooks the routing layer uses to keep cache
@@ -278,7 +164,9 @@ class StoreBackend {
   virtual CloudOnlyDeployment* cloud_only() { return nullptr; }
 };
 
-/// Builds (but does not Start) the backend selected by `options.backend`.
+/// Builds (but does not Start) the adapter selected by `options.backend`,
+/// over a deployment of `options.deploy` as given; null for an unknown
+/// backend. The ShardRouter calls it with its physical client grid.
 std::unique_ptr<StoreBackend> MakeBackend(const StoreOptions& options);
 
 }  // namespace wedge

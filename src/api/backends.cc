@@ -3,96 +3,13 @@
 
 #include "api/backend.h"
 
-#include <algorithm>
 #include <memory>
-#include <mutex>
 #include <string>
 
-#include "api/shard_router.h"
 #include "baselines/baseline_deployment.h"
 #include "core/deployment.h"
 
 namespace wedge {
-
-void MergeStatusBySeverity(Status* into, const Status& s) {
-  if (s.ok()) return;
-  const bool s_security = s.IsSecurityViolation() || s.IsMaliciousBehavior();
-  const bool into_security =
-      into->IsSecurityViolation() || into->IsMaliciousBehavior();
-  if (into->ok() || (s_security && !into_security)) *into = s;
-}
-
-void StoreBackend::MultiGet(size_t client, const std::vector<Key>& keys,
-                            MultiGetCb cb) {
-  // Unrouted default: one shard holds everything, so the batch is N
-  // concurrent point reads on the same client, gathered positionally.
-  if (keys.empty()) {
-    const SimTime now = runtime().Now();
-    if (cb) cb(Status::OK(), MultiGetResult{{}, now}, now);
-    return;
-  }
-  // Sub-reads of a routed batch complete on different shard executors
-  // under ThreadedRuntime, so the join is lock-protected; the final
-  // callback fires outside the lock.
-  struct Join {
-    std::mutex mu;
-    size_t waiting = 0;
-    Status status;
-    MultiGetResult out;
-  };
-  auto join = std::make_shared<Join>();
-  join->waiting = keys.size();
-  join->out.results.resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    Get(client, keys[i],
-        [join, i, cb](const Status& st, GetResult r, SimTime t) {
-          Status status;
-          MultiGetResult out;
-          {
-            std::lock_guard<std::mutex> lock(join->mu);
-            MergeStatusBySeverity(&join->status, st);
-            join->out.at = std::max(join->out.at, t);
-            join->out.results[i] = std::move(r);
-            if (--join->waiting > 0) return;
-            status = join->status;
-            out = std::move(join->out);
-          }
-          if (!cb) return;
-          if (!status.ok()) {
-            cb(status, MultiGetResult{}, out.at);
-          } else {
-            const SimTime at = out.at;
-            cb(status, std::move(out), at);
-          }
-        });
-  }
-}
-
-void StoreBackend::SplitShard(size_t shard, SplitCb cb) {
-  (void)shard;
-  if (cb) {
-    cb(Status::FailedPrecondition(
-           "resharding needs a sharded store (StoreOptions::WithShards)"),
-       SplitReport{}, runtime().Now());
-  }
-}
-
-void StoreBackend::MergeShards(size_t shard, SplitCb cb) {
-  (void)shard;
-  if (cb) {
-    cb(Status::FailedPrecondition(
-           "resharding needs a sharded store (StoreOptions::WithShards)"),
-       SplitReport{}, runtime().Now());
-  }
-}
-
-void StoreBackend::Rebalance(SplitCb cb) {
-  if (cb) {
-    cb(Status::FailedPrecondition(
-           "resharding needs a sharded store (StoreOptions::WithShards)"),
-       SplitReport{}, runtime().Now());
-  }
-}
 
 namespace {
 
@@ -146,7 +63,6 @@ class WedgeBackend : public StoreBackend {
   Runtime& runtime() override { return d_.runtime(); }
   Simulation& sim() override { return d_.sim(); }
   SimNetwork& net() override { return d_.net(); }
-  size_t client_count() const override { return d_.client_count(); }
   Deployment* wedge() override { return &d_; }
 
   // Every operation enters through Client::Invoke — the hop that puts
@@ -257,7 +173,6 @@ class EdgeBaselineBackend : public StoreBackend {
   Runtime& runtime() override { return d_.runtime(); }
   Simulation& sim() override { return d_.sim(); }
   SimNetwork& net() override { return d_.net(); }
-  size_t client_count() const override { return d_.client_count(); }
   EdgeBaselineDeployment* edge_baseline() override { return &d_; }
 
   void PutBatch(size_t client, const std::vector<std::pair<Key, Bytes>>& kvs,
@@ -336,7 +251,6 @@ class CloudOnlyBackend : public StoreBackend {
   Runtime& runtime() override { return d_.runtime(); }
   Simulation& sim() override { return d_.sim(); }
   SimNetwork& net() override { return d_.net(); }
-  size_t client_count() const override { return d_.client_count(); }
   CloudOnlyDeployment* cloud_only() override { return &d_; }
 
   void PutBatch(size_t client, const std::vector<std::pair<Key, Bytes>>& kvs,
@@ -417,9 +331,7 @@ std::string_view BackendKindToString(BackendKind kind) {
   return "unknown";
 }
 
-namespace {
-
-std::unique_ptr<StoreBackend> MakeUnroutedBackend(const StoreOptions& options) {
+std::unique_ptr<StoreBackend> MakeBackend(const StoreOptions& options) {
   switch (options.backend) {
     case BackendKind::kWedge:
       return std::make_unique<WedgeBackend>(options);
@@ -429,32 +341,6 @@ std::unique_ptr<StoreBackend> MakeUnroutedBackend(const StoreOptions& options) {
       return std::make_unique<CloudOnlyBackend>(options);
   }
   return nullptr;
-}
-
-}  // namespace
-
-std::unique_ptr<StoreBackend> MakeBackend(const StoreOptions& options) {
-  const ShardingConfig& sharding = options.deploy.sharding;
-  if (sharding.slots() < 2) {
-    // 0 (off) and 1 (a single shard, no spare capacity) are both the
-    // unrouted fast path.
-    return MakeUnroutedBackend(options);
-  }
-  // The routed form: the deployment is built with one physical client
-  // per (logical client, shard slot), pinned shard-aware by its sharding
-  // config, and every backend kind gets the identical routing layer.
-  // Slots beyond num_shards start idle; SplitShard migrates ranges onto
-  // them without reshaping the grid.
-  StoreOptions inner = options;
-  inner.deploy.num_clients = options.deploy.num_clients * sharding.slots();
-  std::unique_ptr<StoreBackend> base = MakeUnroutedBackend(inner);
-  if (base == nullptr) return nullptr;
-  auto table = std::make_shared<OwnershipTable>(Partitioner(sharding),
-                                                sharding.slots());
-  return std::make_unique<ShardRouter>(
-      std::move(base), std::move(table), options.deploy.num_clients,
-      options.deploy.client.verify_cache_limits, options.resharding,
-      options.balancer);
 }
 
 }  // namespace wedge

@@ -72,7 +72,7 @@ struct StoreOptions {
   /// configs). The With* setters below write through to it.
   DeploymentConfig deploy;
   /// Time budget a synchronous wait (Get/Scan/ReadBlock,
-  /// CommitHandle::WaitPhaseN) may block before giving up with
+  /// AsyncCommit::WaitPhaseN) may block before giving up with
   /// DeadlineExceeded — virtual time under the default SimRuntime (the
   /// wait pumps the simulator), wall time under ThreadedRuntime (the
   /// wait sleeps on the completion condition variable). Every waiting
@@ -80,7 +80,8 @@ struct StoreOptions {
   SimTime op_timeout = 120 * kSecond;
   /// Wiring hook run after the deployment is constructed but before it
   /// starts — the window in which durable storage must be attached and
-  /// recovered state restored (see storage/edge_storage.h).
+  /// recovered state restored (see storage/edge_storage.h). It receives
+  /// the per-physical-client adapter under the router.
   std::function<void(StoreBackend&)> before_start;
   /// Live-migration knobs for SplitShard / MergeShards / Rebalance.
   ReshardingConfig resharding;
@@ -170,13 +171,15 @@ struct StoreOptions {
     deploy.runtime.socket.secret_seed = secret_seed;
     return *this;
   }
-  /// Key-partitions the store across `n` shards (one per edge node),
-  /// routing every operation through the api-layer ShardRouter. Raises
-  /// num_edges to at least `n` (call WithEdges afterwards to run spare
-  /// edges; Store::Open rejects n > num_edges). For ShardScheme::kRange,
-  /// `range_span` must bound the key domain: keys in [0, range_span) are
-  /// cut into contiguous slices and keys beyond it belong to the last
-  /// shard. n <= 1 keeps the unsharded fast path.
+  /// Key-partitions the store across `n` shards (one per edge node).
+  /// Every store routes through the api-layer ShardRouter; this sets
+  /// how many shards it routes over. Raises num_edges to at least `n`
+  /// (call WithEdges afterwards to run spare edges; Store::Open rejects
+  /// n > num_edges). For ShardScheme::kRange, `range_span` must bound
+  /// the key domain: keys in [0, range_span) are cut into contiguous
+  /// slices and keys beyond it belong to the last shard. n == 1 puts
+  /// every client on edge 0; n == 0, the default, is one shard with
+  /// clients round-robin over the edges.
   StoreOptions& WithShards(size_t n, ShardScheme scheme = ShardScheme::kHash,
                            uint64_t range_span = 0) {
     deploy.sharding.num_shards = n;
@@ -271,14 +274,6 @@ struct StoreOptions {
   StoreOptions& WithRetry(RetryPolicy policy) {
     retry = policy;
     retry.enabled = true;
-    return *this;
-  }
-  /// Edge-side certify retry knobs (EdgeConfig::certify_retry): how a
-  /// WedgeChain edge re-sends uncertified block digests with exponential
-  /// backoff through a cloud outage. Enabled by default; pass a policy
-  /// with enabled = false to reproduce fire-and-forget certification.
-  StoreOptions& WithCertifyRetry(RetryPolicy policy) {
-    deploy.edge.certify_retry = policy;
     return *this;
   }
   /// Ceiling on one live-migration attempt, fence to epoch-install (see

@@ -10,6 +10,18 @@ namespace wedge {
 
 namespace {
 
+/// Trust-severity status merge for fan-out joins: the first error wins,
+/// except that a security-class status (a detected lie) always displaces
+/// a benign one — a slow or unavailable shard must never mask a
+/// tampering shard.
+void MergeStatusBySeverity(Status* into, const Status& s) {
+  if (s.ok()) return;
+  const bool s_security = s.IsSecurityViolation() || s.IsMaliciousBehavior();
+  const bool into_security =
+      into->IsSecurityViolation() || into->IsMaliciousBehavior();
+  if (into->ok() || (s_security && !into_security)) *into = s;
+}
+
 /// Join state for one phase of a multi-shard write: the phase reports
 /// once every involved shard has reported it, at the latest sub-commit
 /// time, carrying the (globalized) block id of the lowest involved shard
@@ -58,29 +70,44 @@ StoreBackend::CommitCb TranslateBidsCb(StoreBackend::CommitCb cb, size_t shard,
 
 }  // namespace
 
+std::unique_ptr<ShardRouter> ShardRouter::Make(const StoreOptions& options) {
+  // One physical client per (logical client, shard slot), pinned
+  // shard-aware by the deployment's sharding config. Slots beyond
+  // num_shards start idle; SplitShard migrates ranges onto them without
+  // reshaping the grid. The table clamps an unsharded config to one
+  // slot, so there the grid is the logical clients themselves.
+  const ShardingConfig& sharding = options.deploy.sharding;
+  auto table = std::make_shared<OwnershipTable>(Partitioner(sharding),
+                                                sharding.slots());
+  StoreOptions inner = options;
+  inner.deploy.num_clients = options.deploy.num_clients * table->capacity();
+  std::unique_ptr<StoreBackend> base = MakeBackend(inner);
+  if (base == nullptr) return nullptr;
+  return std::unique_ptr<ShardRouter>(
+      new ShardRouter(std::move(base), std::move(table), options));
+}
+
 ShardRouter::ShardRouter(std::unique_ptr<StoreBackend> inner,
                          std::shared_ptr<OwnershipTable> table,
-                         size_t logical_clients,
-                         VerifierCache::Limits cache_unit,
-                         ReshardingConfig resharding, BalancerPolicy balancer)
+                         const StoreOptions& options)
     : inner_(std::move(inner)),
       table_(std::move(table)),
-      logical_clients_(logical_clients),
-      cache_unit_(cache_unit),
-      client_epochs_(logical_clients, table_->epoch()) {
+      logical_clients_(options.deploy.num_clients),
+      cache_unit_(options.deploy.client.verify_cache_limits),
+      cloud_backup_(options.deploy.cloud.backup_blocks &&
+                    options.deploy.edge.ship_full_blocks),
+      client_epochs_(logical_clients_, table_->epoch()) {
   // Migration state machines run on the runtime's control executor:
   // inline simulation events under SimRuntime, the control worker thread
   // under ThreadedRuntime (the operator entry points below post their
   // bodies there, so coordinator state stays control-confined on every
   // runtime).
   coordinator_ = std::make_unique<ReshardingCoordinator>(
-      inner_->runtime().ControlExecutor(), table_, this, resharding);
+      inner_->runtime().ControlExecutor(), table_, this, options.resharding);
   stats_.ops_per_shard.assign(table_->capacity(), 0);
   write_gauges_.resize(table_->capacity());
   for (auto& g : write_gauges_) g = std::make_shared<WriteGauge>();
-  load_ = std::make_shared<ShardLoadStats>();
-  load_->signals.Resize(table_->capacity());
-  if (balancer.enabled) {
+  if (options.balancer.enabled) {
     // The balancer reads this router's own heat window and actuates
     // through the same coordinator the operator calls use, so manual
     // and autonomous migrations share the single-in-flight rule.
@@ -96,26 +123,16 @@ ShardRouter::ShardRouter(std::unique_ptr<StoreBackend> inner,
       coordinator_->MergeShards(shard, std::move(cb));
     };
     hooks.busy = [this]() { return coordinator_->migration_in_flight(); };
-    hooks.signals = [load = load_]() {
-      std::lock_guard<std::mutex> lock(load->mu);
-      return load->signals;
-    };
     balancer_ = std::make_unique<AutoBalancer>(
-        inner_->runtime().ControlExecutor(), table_, balancer,
+        inner_->runtime().ControlExecutor(), table_, options.balancer,
         std::move(hooks));
   }
   ResizeVerifierCaches();
 }
 
-RouterStats ShardRouter::router_stats_snapshot() const {
-  RouterStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  std::lock_guard<std::mutex> lock(load_->mu);
-  out.load = load_->signals;
-  return out;
+RouterStats ShardRouter::stats_snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 size_t ShardRouter::RouteKeyLocked(size_t client, Key key) {
@@ -226,15 +243,6 @@ void ShardRouter::PutBatch(size_t client,
       gauge->Done();  // failed fast — resolved for quiescence purposes
       return;
     }
-    {
-      // Write-byte attribution at issue time, to the owner the
-      // sub-batch commits on (parked writes land here at flush, already
-      // re-routed).
-      uint64_t bytes = 0;
-      for (const auto& kv : sub) bytes += kv.second.size();
-      std::lock_guard<std::mutex> lock(load_->mu);
-      load_->signals.bytes_written[shard] += bytes;
-    }
     inner_->PutBatch(
         phys, sub,
         [p1, shard, slots, on_phase1, gauge = std::move(gauge)](
@@ -315,33 +323,79 @@ void ShardRouter::Append(size_t client, std::vector<Bytes> payloads,
 void ShardRouter::Get(size_t client, Key key, GetCb cb) {
   const size_t shard = RouteKey(client, key);
   const size_t phys = PhysicalClient(client, shard);
-  // Per-shard read-latency/bytes signal for the balancer. The wrapper
-  // captures the load stats by shared_ptr, never `this` — a completion
-  // landing during router teardown records into still-live state.
-  const SimTime started = runtime().Now();
-  cb = [cb = std::move(cb), load = load_, shard, started](const Status& st,
-                                                          GetResult r,
-                                                          SimTime t) {
-    if (st.ok()) {
-      std::lock_guard<std::mutex> lock(load->mu);
-      load->signals.read_latency[shard].Record(t - started);
-      load->signals.bytes_read[shard] += r.value.size();
-    }
-    if (cb) cb(st, std::move(r), t);
-  };
-  if (!inner_->EdgeReachable(phys)) {
-    // Failure-aware degrade: the owning edge is crashed or partitioned
-    // away, so serve the read from the cloud's backup instead — slower
-    // (wide-area round trip) but still certificate-verified. The store
-    // stays available through the fault window rather than timing out.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.failovers++;
-    }
-    inner_->CloudGet(phys, key, std::move(cb));
+  if (inner_->EdgeReachable(phys)) {
+    inner_->Get(phys, key, std::move(cb));
     return;
   }
-  inner_->Get(phys, key, std::move(cb));
+  if (!cloud_backup_) {
+    // Nothing else holds the shard's recent blocks: a cloud read would
+    // answer "not found" for every key the cloud never saw, which is not
+    // proof of absence. Fail fast like writes and scans.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.unreachable_rejects++;
+    }
+    if (cb) {
+      cb(Status::Unavailable("shard " + std::to_string(shard) +
+                             "'s edge is crashed or partitioned away and "
+                             "the cloud keeps no full backup"),
+         GetResult{}, runtime().Now());
+    }
+    return;
+  }
+  // Failure-aware degrade: the owning edge is crashed or partitioned
+  // away, so serve the read from the cloud's backup instead — slower
+  // (wide-area round trip) but still certificate-verified. The store
+  // stays available through the fault window rather than timing out.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.failovers++;
+  }
+  inner_->CloudGet(phys, key, std::move(cb));
+}
+
+void ShardRouter::MultiGet(size_t client, const std::vector<Key>& keys,
+                           MultiGetCb cb) {
+  if (keys.empty()) {
+    const SimTime now = runtime().Now();
+    if (cb) cb(Status::OK(), MultiGetResult{{}, now}, now);
+    return;
+  }
+  // Sub-reads complete on different shard executors under
+  // ThreadedRuntime, so the join is lock-protected; the final callback
+  // fires outside the lock.
+  struct Join {
+    std::mutex mu;
+    size_t waiting = 0;
+    Status status;
+    MultiGetResult out;
+  };
+  auto join = std::make_shared<Join>();
+  join->waiting = keys.size();
+  join->out.results.resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Get(client, keys[i],
+        [join, i, cb](const Status& st, GetResult r, SimTime t) {
+          Status status;
+          MultiGetResult out;
+          {
+            std::lock_guard<std::mutex> lock(join->mu);
+            MergeStatusBySeverity(&join->status, st);
+            join->out.at = std::max(join->out.at, t);
+            join->out.results[i] = std::move(r);
+            if (--join->waiting > 0) return;
+            status = join->status;
+            out = std::move(join->out);
+          }
+          if (!cb) return;
+          if (!status.ok()) {
+            cb(status, MultiGetResult{}, out.at);
+          } else {
+            const SimTime at = out.at;
+            cb(status, std::move(out), at);
+          }
+        });
+  }
 }
 
 void ShardRouter::Scan(size_t client, Key lo, Key hi, ScanCb cb) {
@@ -609,22 +663,24 @@ void ShardRouter::OnEpochInstalled(const MigrationReport& report) {
 void ShardRouter::ResizeVerifierCaches() {
   // Per-shard cache sizing: each physical client's budget follows the
   // key-span fraction its shard owns (total per logical client =
-  // cache_unit_ × capacity), with a small floor for idle slots. A split
-  // hands the moved range's budget to the destination along with the
-  // range, so the warm hit rate on a hot range survives its own split.
-  // Hash tables interleave ownership evenly and keep the unit as-is.
+  // cache_unit_ × capacity), with a small floor for idle slots that
+  // never exceeds the unit itself. A split hands the moved range's
+  // budget to the destination along with the range, so the warm hit
+  // rate on a hot range survives its own split. Hash tables interleave
+  // ownership evenly and keep the unit as-is.
   if (!table_->splittable()) return;
   const std::vector<double> fractions = table_->OwnedFractions();
   const double slots = static_cast<double>(table_->capacity());
+  auto scaled = [](size_t unit, size_t floor, double scale) {
+    return std::max<size_t>(
+        std::min(unit, floor),
+        static_cast<size_t>(static_cast<double>(unit) * scale));
+  };
   for (size_t s = 0; s < table_->capacity(); ++s) {
     const double scale = fractions[s] * slots;
     VerifierCache::Limits limits = cache_unit_;
-    limits.max_blocks = std::max<size_t>(
-        8, static_cast<size_t>(static_cast<double>(cache_unit_.max_blocks) *
-                               scale));
-    limits.max_parts = std::max<size_t>(
-        16, static_cast<size_t>(static_cast<double>(cache_unit_.max_parts) *
-                                scale));
+    limits.max_blocks = scaled(cache_unit_.max_blocks, 8, scale);
+    limits.max_parts = scaled(cache_unit_.max_parts, 16, scale);
     for (size_t c = 0; c < logical_clients_; ++c) {
       inner_->ResizeVerifierCache(PhysicalClient(c, s), limits);
     }

@@ -1,19 +1,21 @@
 // ShardRouter: the key-partitioned, epoch-aware routing layer between
-// the wedge::Store façade and the per-edge clients.
+// the wedge::Store façade and the per-physical-client StoreBackend
+// adapters. Every Store routes through one.
 //
-// A sharded store (StoreOptions::WithShards / WithShardCapacity) runs up
-// to `capacity` independent partitions — one LSMerkle tree + log per
-// edge — and backs every logical client with one physical client per
-// shard slot, laid out as
+// A store runs up to `capacity` independent partitions — one LSMerkle
+// tree + log per edge — and backs every logical client with one
+// physical client per shard slot, laid out as
 //
-//   physical(c, s) = c * capacity + s      (pinned to edge s)
+//   physical(c, s) = c * capacity + s
 //
-// inside the wrapped deployment. The router owns the only map from keys
-// to shards — an epoch-versioned OwnershipTable seeded from
-// core/partitioner.h — and applies it uniformly over all three backends:
-// WedgeChain, edge-baseline and cloud-only accept the identical sharded
-// call sequence, because routing happens behind the StoreBackend seam
-// rather than in any deployment.
+// inside the adapter's deployment. An unsharded store (num_shards == 0)
+// is one live shard on one slot, so physical(c, 0) = c and client c
+// keeps its round-robin home edge c % num_edges. The router owns the
+// only map from keys to shards — an epoch-versioned OwnershipTable
+// seeded from core/partitioner.h — and applies it uniformly over all
+// three backends: WedgeChain, edge-baseline and cloud-only accept the
+// identical call sequence, because routing happens above the
+// StoreBackend seam rather than in any deployment.
 //
 //  - Put/Get/MultiGet route each key to its owning shard under the
 //    current ownership epoch; a batch spanning shards commits on every
@@ -24,9 +26,12 @@
 //    epoch refreshed — never an error (RouterStats::stale_redirects).
 //  - Failure awareness: a Get routed to a crashed or partitioned edge
 //    degrades to a cloud-served, certificate-verified read
-//    (RouterStats::failovers) instead of timing out; writes and scans
-//    to an unreachable shard fail fast with Unavailable
-//    (RouterStats::unreachable_rejects) — they cannot be cloud-served.
+//    (RouterStats::failovers) instead of timing out, when the cloud
+//    keeps a full backup of the edge's blocks (CloudConfig::backup_blocks
+//    with EdgeConfig::ship_full_blocks).
+//    Without a backup, and for writes and scans, which cannot be
+//    cloud-served, an unreachable shard fails fast with Unavailable
+//    (RouterStats::unreachable_rejects).
 //  - Append (no key) routes to the logical client's home slot
 //    c % capacity.
 //  - ReadBlock uses router-scoped block ids: global = inner * capacity +
@@ -47,7 +52,9 @@
 //    the parked keys are counted into the heat window when they flush —
 //    and per-client verifier caches are invalidated for the moved range
 //    (toward the destination on a split, toward the survivor on a
-//    merge) and re-sized to the new ownership.
+//    merge) and re-sized to the new ownership. The coordinator refuses a
+//    split with no idle slot and a merge with no neighbour, so an
+//    unsharded store answers both with FailedPrecondition.
 //  - With StoreOptions::WithAutoBalance the router runs an AutoBalancer
 //    tick over its own heat window (RouterStats::ops_per_shard),
 //    splitting hot shards and merging cooled ones without operator
@@ -68,13 +75,31 @@
 
 namespace wedge {
 
-/// Live per-shard load signals (read-latency histograms, byte counters)
-/// behind their own lock. Shared into completion callbacks by
-/// shared_ptr value — a read completing while the router tears down
-/// records into still-live state instead of a dangling `this`.
-struct ShardLoadStats {
-  std::mutex mu;
-  ShardSignals signals;
+/// Counters of the routing layer, exposed through Store::stats().
+struct RouterStats {
+  /// Operations whose stale-epoch route differed from the current owner
+  /// and were redirected (the deterministic retry, never an error).
+  uint64_t stale_redirects = 0;
+  /// Logical-client epoch views refreshed to the current epoch.
+  uint64_t epoch_refreshes = 0;
+  /// Write sub-batches parked by a migration fence and flushed at epoch
+  /// install (or on an aborted split, back to the unchanged owner).
+  uint64_t writes_parked = 0;
+  /// Reads served from the cloud's backup because the owning edge was
+  /// crashed or partitioned away (failure-aware degrade: slower, still
+  /// verified against the cloud's certificate).
+  uint64_t failovers = 0;
+  /// Operations refused with Unavailable because the owning edge was
+  /// unreachable: writes and scans, which cannot be cloud-served, and
+  /// reads when the cloud keeps no full backup. Failing fast beats hanging
+  /// until the op deadline.
+  uint64_t unreachable_rejects = 0;
+  /// Keyed operations routed per shard slot since the last epoch change
+  /// — the heat signal Rebalance (and the AutoBalancer's watermark
+  /// policy) picks its victims by. Writes parked by a migration fence
+  /// count here when they flush, attributed to the owner they commit
+  /// on.
+  std::vector<uint64_t> ops_per_shard;
 };
 
 /// Counts the writes in flight against one shard between routing and
@@ -132,75 +157,78 @@ class WriteGauge {
   std::function<void()> cb_;
 };
 
-class ShardRouter : public StoreBackend, public ShardMigrationHost {
+class ShardRouter : public ShardMigrationHost {
  public:
-  /// Wraps `inner`, which must have been built with
-  /// logical_clients * table->capacity() physical clients pinned
-  /// shard-aware (DeploymentConfig::sharding). Use MakeBackend rather
-  /// than constructing directly.
-  ShardRouter(std::unique_ptr<StoreBackend> inner,
-              std::shared_ptr<OwnershipTable> table, size_t logical_clients,
-              VerifierCache::Limits cache_unit, ReshardingConfig resharding,
-              BalancerPolicy balancer = {});
+  using CommitCb = StoreBackend::CommitCb;
+  using GetCb = StoreBackend::GetCb;
+  using ScanCb = StoreBackend::ScanCb;
+  using ReadBlockCb = StoreBackend::ReadBlockCb;
+  using MultiGetCb =
+      std::function<void(const Status&, MultiGetResult, SimTime)>;
+  using SplitCb =
+      std::function<void(const Status&, const SplitReport&, SimTime)>;
+
+  /// Builds (but does not Start) the router and, under it, the adapter
+  /// `options.backend` selects, with logical_clients * capacity physical
+  /// clients pinned shard-aware (DeploymentConfig::sharding). Null for
+  /// an unknown backend.
+  static std::unique_ptr<ShardRouter> Make(const StoreOptions& options);
 
   /// Members are destroyed before inner_, but inner_'s workers may still
   /// be running callbacks posted into coordinator_ and balancer_: stop
   /// the runtime first, as Runtime::Shutdown requires.
   ~ShardRouter() override { inner_->runtime().Shutdown(); }
 
-  BackendKind kind() const override { return inner_->kind(); }
-  void Start() override {
+  void Start() {
     inner_->Start();
     if (balancer_) balancer_->Start();
   }
-  Runtime& runtime() override { return inner_->runtime(); }
-  Simulation& sim() override { return inner_->sim(); }
-  SimNetwork& net() override { return inner_->net(); }
-  size_t client_count() const override { return logical_clients_; }
-  const Partitioner& partitioner() const override { return table_->seed(); }
-  size_t shard_count() const override { return table_->capacity(); }
-  const OwnershipTable* ownership() const override { return table_.get(); }
-  const ReshardingCoordinator* resharding() const override {
-    return coordinator_.get();
-  }
-  RouterStats router_stats_snapshot() const override;
-  const AutoBalancer* balancer() const override { return balancer_.get(); }
+  Runtime& runtime() { return inner_->runtime(); }
+  /// The per-physical-client adapter underneath (deployment access,
+  /// the before_start hook).
+  StoreBackend& inner() { return *inner_; }
+  size_t client_count() const { return logical_clients_; }
+  const OwnershipTable& ownership() const { return *table_; }
+  const ReshardingCoordinator& resharding() const { return *coordinator_; }
+  /// The autonomous lifecycle policy; null unless the store was opened
+  /// with StoreOptions::WithAutoBalance.
+  const AutoBalancer* balancer() const { return balancer_.get(); }
+  /// Value-copy of the routing counters, safe while worker threads are
+  /// routing concurrently.
+  RouterStats stats_snapshot() const;
 
   void PutBatch(size_t client, const std::vector<std::pair<Key, Bytes>>& kvs,
-                CommitCb on_phase1, CommitCb on_phase2) override;
+                CommitCb on_phase1, CommitCb on_phase2);
   void Append(size_t client, std::vector<Bytes> payloads, CommitCb on_phase1,
-              CommitCb on_phase2) override;
-  void Get(size_t client, Key key, GetCb cb) override;
-  // MultiGet is inherited: the default gather issues the batch through
-  // the virtual Get, which already routes each key (scatter per shard).
-  void Scan(size_t client, Key lo, Key hi, ScanCb cb) override;
-  void ReadBlock(size_t client, BlockId bid, ReadBlockCb cb) override;
+              CommitCb on_phase2);
+  void Get(size_t client, Key key, GetCb cb);
+  /// Batched point reads: all keys issued concurrently through Get, so
+  /// each routes to its own shard; results positionally aligned with
+  /// `keys`. Any failing key fails the whole batch, with security-class
+  /// failures taking precedence.
+  void MultiGet(size_t client, const std::vector<Key>& keys, MultiGetCb cb);
+  void Scan(size_t client, Key lo, Key hi, ScanCb cb);
+  void ReadBlock(size_t client, BlockId bid, ReadBlockCb cb);
 
-  void SplitShard(size_t shard, SplitCb cb) override;
-  void MergeShards(size_t shard, SplitCb cb) override;
-  void Rebalance(SplitCb cb) override;
-
-  Deployment* wedge() override { return inner_->wedge(); }
-  EdgeBaselineDeployment* edge_baseline() override {
-    return inner_->edge_baseline();
-  }
-  CloudOnlyDeployment* cloud_only() override { return inner_->cloud_only(); }
+  /// Splits `shard`'s key range via verified live migration (see
+  /// core/resharding.h) into the first idle slot.
+  void SplitShard(size_t shard, SplitCb cb);
+  /// The inverse migration: folds `shard`'s slice into its adjacent
+  /// neighbour and returns the freed slot to the idle pool.
+  void MergeShards(size_t shard, SplitCb cb);
+  /// Splits the busiest live shard (by routed operations since the last
+  /// epoch change) into the first idle slot.
+  void Rebalance(SplitCb cb);
 
   /// The physical client backing (logical `client`, `shard`).
   size_t PhysicalClient(size_t client, size_t shard) const {
     return client * table_->capacity() + shard;
   }
 
-  /// The ownership epoch logical `client` last observed (requests carry
-  /// it; stale views are refreshed by the redirect path).
-  OwnershipEpoch ClientEpoch(size_t client) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_epochs_.at(client);
-  }
-
-  // Router-scoped block ids. Every block id that crosses the StoreBackend
-  // seam of a sharded store is in global form; `slots` is the shard slot
-  // capacity, which never changes — ids are epoch-stable.
+  // Router-scoped block ids. Every block id the router hands out or
+  // accepts is in global form; `slots` is the shard slot capacity, which
+  // never changes — ids are epoch-stable (and equal the inner ids on a
+  // one-slot store).
   static BlockId GlobalBlockId(BlockId inner, size_t shard, size_t slots) {
     return inner * slots + shard;
   }
@@ -222,6 +250,10 @@ class ShardRouter : public StoreBackend, public ShardMigrationHost {
   void OnEpochInstalled(const MigrationReport& report) override;
 
  private:
+  ShardRouter(std::unique_ptr<StoreBackend> inner,
+              std::shared_ptr<OwnershipTable> table,
+              const StoreOptions& options);
+
   /// Routes `key` for logical `client` under the client's last-known
   /// epoch, redirecting (and refreshing the view) when it is stale.
   /// Callers hold mu_ (routing state and counters live behind it).
@@ -245,6 +277,11 @@ class ShardRouter : public StoreBackend, public ShardMigrationHost {
   std::shared_ptr<OwnershipTable> table_;
   size_t logical_clients_;
   VerifierCache::Limits cache_unit_;
+  /// Whether the cloud holds every edge block and so can serve a read
+  /// for an unreachable edge: CloudConfig::backup_blocks keeps what the
+  /// cloud sees, EdgeConfig::ship_full_blocks makes it see every block
+  /// (without it, only blocks that went through merges).
+  bool cloud_backup_;
   std::unique_ptr<ReshardingCoordinator> coordinator_;
   std::unique_ptr<AutoBalancer> balancer_;
 
@@ -269,11 +306,6 @@ class ShardRouter : public StoreBackend, public ShardMigrationHost {
   std::vector<std::shared_ptr<WriteGauge>> write_gauges_;
 
   RouterStats stats_;
-
-  /// Richer per-shard load (RouterStats::load in snapshots; fed to the
-  /// AutoBalancer via Hooks::signals). Cumulative since Open — epoch
-  /// installs reset ops_per_shard but not latency/byte history.
-  std::shared_ptr<ShardLoadStats> load_;
 };
 
 }  // namespace wedge

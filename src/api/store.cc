@@ -14,11 +14,11 @@ namespace api_internal {
 
 struct StoreCore {
   StoreOptions options;
-  /// Declared before `backend` deliberately: the backend's destructor
+  /// Declared before `router` deliberately: the router's destructor
   /// joins worker threads whose completion wrappers release admission
   /// slots, so the gate must outlive it.
   AsyncGate gate;
-  std::unique_ptr<StoreBackend> backend;
+  std::unique_ptr<ShardRouter> router;
 
   /// Blocks until `done()` holds, bounded by the per-op `deadline` when
   /// one was given (> 0) and `options.op_timeout` otherwise — stepping
@@ -29,7 +29,7 @@ struct StoreCore {
   /// Runtime::RunOnCompletion, which is what orders it against the
   /// completing worker thread.
   Status PumpUntil(const std::function<bool()>& done, SimTime deadline = 0) {
-    return backend->runtime().WaitUntil(
+    return router->runtime().WaitUntil(
         deadline > 0 ? deadline : options.op_timeout, done);
   }
 };
@@ -47,35 +47,6 @@ using api_internal::AsyncOpState;
 using api_internal::SettleCommit;
 using api_internal::SettleOp;
 using api_internal::StoreCore;
-
-// ----------------------------------------------------------- CommitHandle
-
-bool CommitHandle::phase1_done() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->p1_settled;
-}
-bool CommitHandle::phase2_done() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->p2_settled;
-}
-
-Result<Commit> CommitHandle::WaitPhase1(SimTime deadline) {
-  auto* st = state_.get();
-  WEDGE_RETURN_NOT_OK(
-      core_->PumpUntil([st] { return st->phase1_done; }, deadline));
-  std::lock_guard<std::mutex> lock(state_->mu);
-  if (!st->phase1_status.ok()) return st->phase1_status;
-  return st->phase1;
-}
-
-Result<Commit> CommitHandle::WaitPhase2(SimTime deadline) {
-  auto* st = state_.get();
-  WEDGE_RETURN_NOT_OK(
-      core_->PumpUntil([st] { return st->phase2_done; }, deadline));
-  std::lock_guard<std::mutex> lock(state_->mu);
-  if (!st->phase2_status.ok()) return st->phase2_status;
-  return st->phase2;
-}
 
 // ------------------------------------------------------------------ Store
 
@@ -149,8 +120,9 @@ Status ValidateOptions(const StoreOptions& options) {
   }
   if (options.balancer.enabled) {
     // The autonomous lifecycle actuates through SplitShard/MergeShards,
-    // so it needs a routed store with range-expressible ownership: a
-    // policy that could never act is a misconfiguration, not a no-op.
+    // so it needs two or more shard slots with range-expressible
+    // ownership: a policy that could never act is a misconfiguration,
+    // not a no-op.
     if (!can_migrate) {
       return Status::InvalidArgument(
           "StoreOptions: WithAutoBalance needs a splittable sharded "
@@ -199,17 +171,17 @@ Result<Store> Store::Open(StoreOptions options) {
   auto core = std::make_shared<StoreCore>();
   core->options = std::move(options);
   core->gate.set_limit(core->options.async_inflight_limit);
-  core->backend = MakeBackend(core->options);
-  if (core->backend == nullptr) {
+  core->router = ShardRouter::Make(core->options);
+  if (core->router == nullptr) {
     return Status::InvalidArgument("StoreOptions: unknown backend");
   }
   if (core->options.before_start) {
-    core->options.before_start(*core->backend);
+    core->options.before_start(core->router->inner());
     // The hook's one legitimate call is done; don't keep its captured
     // environment (often stack references) reachable via options().
     core->options.before_start = nullptr;
   }
-  core->backend->Start();
+  core->router->Start();
   return Store(std::move(core));
 }
 
@@ -226,10 +198,10 @@ std::shared_ptr<AsyncCommitState> IssueWrite(
     const std::function<void(StoreBackend::CommitCb, StoreBackend::CommitCb)>&
         issue) {
   auto state = std::make_shared<AsyncCommitState>();
-  Runtime* rt = &core.backend->runtime();
+  Runtime* rt = &core.router->runtime();
   state->rt = rt;
   state->gate = &core.gate;
-  if (client >= core.backend->client_count()) {
+  if (client >= core.router->client_count()) {
     const Status bad =
         Status::InvalidArgument("no client " + std::to_string(client));
     SettleCommit(state, /*phase2=*/true, bad, Commit{0, rt->Now()});
@@ -265,29 +237,17 @@ std::shared_ptr<AsyncCommitState> IssueWrite(
 
 }  // namespace
 
-CommitHandle Store::Put(Key key, Bytes value, size_t client) {
-  return PutBatch({{key, std::move(value)}}, client);
+AsyncCommit Store::Put(Key key, Bytes value, size_t client) {
+  return AsyncPut(key, std::move(value), client);
 }
 
-CommitHandle Store::PutBatch(const std::vector<std::pair<Key, Bytes>>& kvs,
-                             size_t client) {
-  return CommitHandle(
-      core_, IssueWrite(*core_, client, AsyncOptions{},
-                        [&](StoreBackend::CommitCb p1, StoreBackend::CommitCb
-                                                           p2) {
-                          core_->backend->PutBatch(client, kvs, std::move(p1),
-                                                   std::move(p2));
-                        }));
+AsyncCommit Store::PutBatch(const std::vector<std::pair<Key, Bytes>>& kvs,
+                            size_t client) {
+  return AsyncPutBatch(kvs, client);
 }
 
-CommitHandle Store::Append(std::vector<Bytes> payloads, size_t client) {
-  return CommitHandle(
-      core_, IssueWrite(*core_, client, AsyncOptions{},
-                        [&](StoreBackend::CommitCb p1, StoreBackend::CommitCb
-                                                           p2) {
-                          core_->backend->Append(client, std::move(payloads),
-                                                 std::move(p1), std::move(p2));
-                        }));
+AsyncCommit Store::Append(std::vector<Bytes> payloads, size_t client) {
+  return AsyncAppend(std::move(payloads), client);
 }
 
 AsyncCommit Store::AsyncPut(Key key, Bytes value, size_t client,
@@ -301,8 +261,8 @@ AsyncCommit Store::AsyncPutBatch(const std::vector<std::pair<Key, Bytes>>& kvs,
       core_, IssueWrite(*core_, client, opts,
                         [&](StoreBackend::CommitCb p1, StoreBackend::CommitCb
                                                            p2) {
-                          core_->backend->PutBatch(client, kvs, std::move(p1),
-                                                   std::move(p2));
+                          core_->router->PutBatch(client, kvs, std::move(p1),
+                                                  std::move(p2));
                         }));
 }
 
@@ -312,8 +272,8 @@ AsyncCommit Store::AsyncAppend(std::vector<Bytes> payloads, size_t client,
       core_, IssueWrite(*core_, client, opts,
                         [&](StoreBackend::CommitCb p1, StoreBackend::CommitCb
                                                            p2) {
-                          core_->backend->Append(client, std::move(payloads),
-                                                 std::move(p1), std::move(p2));
+                          core_->router->Append(client, std::move(payloads),
+                                                std::move(p1), std::move(p2));
                         }));
 }
 
@@ -328,10 +288,10 @@ AsyncOp<T> IssueAsyncRead(const std::shared_ptr<StoreCore>& core,
                           size_t client, const AsyncOptions& opts,
                           IssueFn issue) {
   auto state = std::make_shared<AsyncOpState<T>>();
-  Runtime* rt = &core->backend->runtime();
+  Runtime* rt = &core->router->runtime();
   state->rt = rt;
   state->gate = &core->gate;
-  if (client >= core->backend->client_count()) {
+  if (client >= core->router->client_count()) {
     SettleOp<T>(state,
                 Status::InvalidArgument("no client " + std::to_string(client)),
                 T{});
@@ -385,7 +345,7 @@ Result<T> SyncRead(StoreCore& core, SimTime deadline, ReissueFn reissue) {
     // A timed-out attempt's handle stays alive inside its own callback
     // capture; if the stale response lands later it settles a handle
     // nobody reads. The retry issues a fresh request.
-    core.backend->runtime().RunFor(backoff);
+    core.router->runtime().RunFor(backoff);
     backoff = std::min<SimTime>(
         retry.max_backoff,
         static_cast<SimTime>(static_cast<double>(backoff) * retry.multiplier));
@@ -398,7 +358,7 @@ AsyncOp<GetResult> Store::AsyncGet(Key key, size_t client,
                                    const AsyncOptions& opts) {
   return IssueAsyncRead<GetResult>(
       core_, client, opts, [this, key](size_t c, StoreBackend::GetCb cb) {
-        core_->backend->Get(c, key, std::move(cb));
+        core_->router->Get(c, key, std::move(cb));
       });
 }
 
@@ -407,8 +367,8 @@ AsyncOp<MultiGetResult> Store::AsyncMultiGet(const std::vector<Key>& keys,
                                              const AsyncOptions& opts) {
   return IssueAsyncRead<MultiGetResult>(
       core_, client, opts,
-      [this, &keys](size_t c, StoreBackend::MultiGetCb cb) {
-        core_->backend->MultiGet(c, keys, std::move(cb));
+      [this, &keys](size_t c, ShardRouter::MultiGetCb cb) {
+        core_->router->MultiGet(c, keys, std::move(cb));
       });
 }
 
@@ -419,7 +379,7 @@ AsyncOp<ScanResult> Store::AsyncScan(Key lo, Key hi, size_t client,
     // range in proof verification; cloud-only would silently return
     // nothing.
     auto state = std::make_shared<AsyncOpState<ScanResult>>();
-    state->rt = &core_->backend->runtime();
+    state->rt = &core_->router->runtime();
     state->gate = &core_->gate;
     SettleOp<ScanResult>(
         state, Status::InvalidArgument("scan range is empty"), ScanResult{});
@@ -427,7 +387,7 @@ AsyncOp<ScanResult> Store::AsyncScan(Key lo, Key hi, size_t client,
   }
   return IssueAsyncRead<ScanResult>(
       core_, client, opts, [this, lo, hi](size_t c, StoreBackend::ScanCb cb) {
-        core_->backend->Scan(c, lo, hi, std::move(cb));
+        core_->router->Scan(c, lo, hi, std::move(cb));
       });
 }
 
@@ -435,7 +395,7 @@ AsyncOp<BlockRead> Store::AsyncReadBlock(BlockId bid, size_t client,
                                          const AsyncOptions& opts) {
   return IssueAsyncRead<BlockRead>(
       core_, client, opts, [this, bid](size_t c, StoreBackend::ReadBlockCb cb) {
-        core_->backend->ReadBlock(c, bid, std::move(cb));
+        core_->router->ReadBlock(c, bid, std::move(cb));
       });
 }
 
@@ -480,7 +440,7 @@ Result<SplitReport> SyncSplit(StoreCore& core, IssueFn issue) {
     SplitReport report;
   };
   auto waiter = std::make_shared<Waiter>();
-  Runtime* rt = &core.backend->runtime();
+  Runtime* rt = &core.router->runtime();
   issue([waiter, rt](const Status& s, const SplitReport& r, SimTime) {
     rt->RunOnCompletion([&] {
       waiter->status = s;
@@ -496,52 +456,47 @@ Result<SplitReport> SyncSplit(StoreCore& core, IssueFn issue) {
 }  // namespace
 
 Result<SplitReport> Store::SplitShard(size_t shard) {
-  return SyncSplit(*core_, [this, shard](StoreBackend::SplitCb cb) {
-    core_->backend->SplitShard(shard, std::move(cb));
+  return SyncSplit(*core_, [this, shard](ShardRouter::SplitCb cb) {
+    core_->router->SplitShard(shard, std::move(cb));
   });
 }
 
 Result<SplitReport> Store::MergeShards(size_t shard) {
-  return SyncSplit(*core_, [this, shard](StoreBackend::SplitCb cb) {
-    core_->backend->MergeShards(shard, std::move(cb));
+  return SyncSplit(*core_, [this, shard](ShardRouter::SplitCb cb) {
+    core_->router->MergeShards(shard, std::move(cb));
   });
 }
 
 Result<SplitReport> Store::Rebalance() {
-  return SyncSplit(*core_, [this](StoreBackend::SplitCb cb) {
-    core_->backend->Rebalance(std::move(cb));
+  return SyncSplit(*core_, [this](ShardRouter::SplitCb cb) {
+    core_->router->Rebalance(std::move(cb));
   });
 }
 
 OwnershipEpoch Store::ownership_epoch() const {
-  const OwnershipTable* t = core_->backend->ownership();
-  return t == nullptr ? 1 : t->epoch();
+  return core_->router->ownership().epoch();
 }
 const OwnershipTable* Store::ownership() const {
-  return core_->backend->ownership();
+  return &core_->router->ownership();
 }
 const ReshardingCoordinator* Store::resharding() const {
-  return core_->backend->resharding();
+  return &core_->router->resharding();
 }
 const AutoBalancer* Store::balancer() const {
-  return core_->backend->balancer();
+  return core_->router->balancer();
 }
 
 StoreStats Store::stats() const {
+  const ShardRouter& router = *core_->router;
   StoreStats s;
-  const OwnershipTable* table = core_->backend->ownership();
-  if (table != nullptr) {
-    s.epoch = table->epoch();
-    s.live_shards = table->LiveShards();
-  }
-  s.router = core_->backend->router_stats_snapshot();
-  if (const ReshardingCoordinator* c = core_->backend->resharding()) {
-    s.resharding = c->stats_snapshot();
-  }
-  if (const AutoBalancer* b = core_->backend->balancer()) {
+  s.epoch = router.ownership().epoch();
+  s.live_shards = router.ownership().LiveShards();
+  s.router = router.stats_snapshot();
+  s.resharding = router.resharding().stats_snapshot();
+  if (const AutoBalancer* b = router.balancer()) {
     s.balancer = b->stats_snapshot();
   }
-  Runtime& rt = core_->backend->runtime();
+  Runtime& rt = core_->router->runtime();
   s.transport = rt.transport().stats_snapshot();
   s.faults = rt.faults().stats();
   s.async = core_->gate.Snapshot();
@@ -549,24 +504,26 @@ StoreStats Store::stats() const {
 }
 
 void Store::RunFor(SimTime duration) {
-  core_->backend->runtime().RunFor(duration);
+  core_->router->runtime().RunFor(duration);
 }
 void Store::RunUntil(SimTime until) {
-  core_->backend->runtime().RunUntil(until);
+  core_->router->runtime().RunUntil(until);
 }
-SimTime Store::now() { return core_->backend->runtime().Now(); }
+SimTime Store::now() { return core_->router->runtime().Now(); }
 
-BackendKind Store::kind() const { return core_->backend->kind(); }
-size_t Store::client_count() const { return core_->backend->client_count(); }
-size_t Store::shard_count() const { return core_->backend->shard_count(); }
-const Partitioner& Store::partitioner() const {
-  return core_->backend->partitioner();
+BackendKind Store::kind() const { return core_->router->inner().kind(); }
+size_t Store::client_count() const { return core_->router->client_count(); }
+size_t Store::shard_count() const {
+  return core_->router->ownership().capacity();
 }
-Runtime& Store::runtime() { return core_->backend->runtime(); }
-Simulation& Store::sim() { return core_->backend->sim(); }
-SimNetwork& Store::net() { return core_->backend->net(); }
+const Partitioner& Store::partitioner() const {
+  return core_->router->ownership().seed();
+}
+Runtime& Store::runtime() { return core_->router->runtime(); }
+Simulation& Store::sim() { return core_->router->inner().sim(); }
+SimNetwork& Store::net() { return core_->router->inner().net(); }
 const StoreOptions& Store::options() const { return core_->options; }
-StoreBackend& Store::backend() { return *core_->backend; }
+ShardRouter& Store::router() { return *core_->router; }
 
 namespace {
 
@@ -585,16 +542,16 @@ T& CheckedDeployment(T* d, const char* accessor, BackendKind actual) {
 }  // namespace
 
 Deployment& Store::wedge() {
-  return CheckedDeployment(core_->backend->wedge(), "wedge", kind());
+  return CheckedDeployment(core_->router->inner().wedge(), "wedge", kind());
 }
 
 EdgeBaselineDeployment& Store::edge_baseline() {
-  return CheckedDeployment(core_->backend->edge_baseline(), "edge_baseline",
-                           kind());
+  return CheckedDeployment(core_->router->inner().edge_baseline(),
+                           "edge_baseline", kind());
 }
 
 CloudOnlyDeployment& Store::cloud_only() {
-  return CheckedDeployment(core_->backend->cloud_only(), "cloud_only",
+  return CheckedDeployment(core_->router->inner().cloud_only(), "cloud_only",
                            kind());
 }
 

@@ -3,15 +3,18 @@
 // One API over the paper's three systems: open a Store against the
 // WedgeChain, edge-baseline, or cloud-only backend (StoreOptions::backend)
 // and run the identical call sequence on each. Reads return Result<T>
-// synchronously; writes return a CommitHandle whose WaitPhase1()/
+// synchronously; writes return an AsyncCommit whose WaitPhase1()/
 // WaitPhase2() pump the simulator to the corresponding commit point —
 // the paper's lazy-trust contract (§IV) as first-class API objects:
 //
 //   auto store = *Store::Open(StoreOptions().WithOpsPerBlock(4));
-//   CommitHandle h = store.Put(42, value);
+//   AsyncCommit h = store.Put(42, value);
 //   Commit p1 = *h.WaitPhase1();   // edge-latency, temporary proof
 //   Commit p2 = *h.WaitPhase2();   // cloud-certified, p2.at >= p1.at
 //   GetResult got = *store.Get(42);
+//
+// Every store routes through one ShardRouter (api/shard_router.h); an
+// unsharded store is its one-shard case.
 //
 // A detected lie surfaces as a Status (SecurityViolation /
 // MaliciousBehavior) from the wait or read that observed it, never as
@@ -26,6 +29,7 @@
 #include "api/async.h"
 #include "api/backend.h"
 #include "api/options.h"
+#include "api/shard_router.h"
 #include "common/result.h"
 
 namespace wedge {
@@ -34,41 +38,24 @@ namespace api_internal {
 struct StoreCore;
 }  // namespace api_internal
 
-/// Tracks one write through its two commit points. Handles share state
-/// with the issuing Store and stay valid after it is moved. A
-/// CommitHandle is the synchronous view over the same state an
-/// AsyncCommit wraps — `Put(...)` and `AsyncPut(...).WaitPhaseN()` are
-/// the same machinery.
-class CommitHandle {
- public:
-  /// Pumps the simulator until Phase I commits (temporary, edge-local
-  /// for WedgeChain). Returns the commit, or the failure that ended the
-  /// phase (DeadlineExceeded if the time budget elapsed first).
-  /// `deadline` overrides StoreOptions::op_timeout for this wait;
-  /// 0 keeps the store-wide budget.
-  Result<Commit> WaitPhase1(SimTime deadline = 0);
-
-  /// Pumps the simulator until Phase II commits (cloud-certified). For
-  /// the baselines this is the same commit point as Phase I. A lying
-  /// edge surfaces here as SecurityViolation / MaliciousBehavior.
-  /// `deadline` overrides StoreOptions::op_timeout; 0 keeps it.
-  Result<Commit> WaitPhase2(SimTime deadline = 0);
-
-  bool phase1_done() const;
-  bool phase2_done() const;
-
-  /// The asynchronous view of the same write (shared state): register
-  /// OnPhase1/OnPhase2 callbacks or Cancel without blocking.
-  AsyncCommit async() const { return AsyncCommit(core_, state_); }
-
- private:
-  friend class Store;
-  CommitHandle(std::shared_ptr<api_internal::StoreCore> core,
-               std::shared_ptr<api_internal::AsyncCommitState> state)
-      : core_(std::move(core)), state_(std::move(state)) {}
-
-  std::shared_ptr<api_internal::StoreCore> core_;
-  std::shared_ptr<api_internal::AsyncCommitState> state_;
+/// One-call observability snapshot of a store (Store::stats()): current
+/// ownership epoch plus the routing, migration, and autonomous-balancing
+/// counters, and the runtime's transport and fault counters. All fields
+/// are value-copies taken at the call.
+struct StoreStats {
+  OwnershipEpoch epoch = 1;
+  size_t live_shards = 1;
+  RouterStats router;
+  ReshardingCoordinator::Stats resharding;
+  BalancerStats balancer;
+  /// Transport-level message counters of the underlying runtime (same
+  /// shape on both runtimes; `dropped` includes fault-plane drops).
+  TransportStats transport;
+  /// Injected-fault counters (Runtime::faults().stats()).
+  FaultStats faults;
+  /// Async-surface admission and lifecycle counters (always populated;
+  /// zeros when nothing used the async surface).
+  AsyncStats async;
 };
 
 class Store {
@@ -80,17 +67,20 @@ class Store {
   Store& operator=(Store&&) = default;
 
   // ------------------------------------------------------------- writes
+  //
+  // Each is its Async* form below with no per-op deadline; the returned
+  // handle's WaitPhase1/WaitPhase2 pump the runtime to the commit point.
 
   /// Puts one key-value pair as client `client`.
-  CommitHandle Put(Key key, Bytes value, size_t client = 0);
+  AsyncCommit Put(Key key, Bytes value, size_t client = 0);
 
   /// Applies a batch of key-value puts through the LSMerkle path.
-  CommitHandle PutBatch(const std::vector<std::pair<Key, Bytes>>& kvs,
-                        size_t client = 0);
+  AsyncCommit PutBatch(const std::vector<std::pair<Key, Bytes>>& kvs,
+                       size_t client = 0);
 
   /// Appends raw log entries. All three backends support log workloads:
   /// the baselines certify synchronously, so both phases commit together.
-  CommitHandle Append(std::vector<Bytes> payloads, size_t client = 0);
+  AsyncCommit Append(std::vector<Bytes> payloads, size_t client = 0);
 
   // ------------------------------------------------------ async surface
   //
@@ -98,8 +88,8 @@ class Store {
   // runtime's executors (no pump-to-completion). Per-op deadlines and
   // Cancel settle the handle early; StoreOptions::async_inflight_limit
   // bounds admitted ops so a slow shard backpressures the issuer with
-  // ResourceExhausted instead of ballooning memory. The sync methods
-  // above are thin wrappers over these (issue + Wait).
+  // ResourceExhausted instead of ballooning memory. The sync reads below
+  // are thin wrappers over these (issue + Wait).
 
   AsyncCommit AsyncPut(Key key, Bytes value, size_t client = 0,
                        const AsyncOptions& opts = {});
@@ -177,16 +167,16 @@ class Store {
 
   /// Current ownership epoch: 1 until a migration installs a newer map.
   OwnershipEpoch ownership_epoch() const;
-  /// The versioned ownership table (null on an unrouted store).
+  /// The versioned ownership table (never null; an unsharded store has
+  /// one slot owning every key).
   const OwnershipTable* ownership() const;
-  /// Migration counters and the applied-migration reports (null when
-  /// unrouted).
+  /// Migration counters and the applied-migration reports (never null).
   const ReshardingCoordinator* resharding() const;
   /// The autonomous lifecycle policy (null unless opened with
   /// WithAutoBalance).
   const AutoBalancer* balancer() const;
   /// One-call snapshot of epoch, live shards, router, migration and
-  /// balancer counters (zeroed/defaulted on an unrouted store), plus
+  /// balancer counters (the balancer's defaulted when it is off), plus
   /// the runtime's transport message counters and injected-fault stats.
   StoreStats stats() const;
 
@@ -215,9 +205,9 @@ class Store {
   SimNetwork& net();
   const StoreOptions& options() const;
 
-  /// The deployment-neutral async interface (bench harness; advanced
-  /// callers that must not block the closed loop).
-  StoreBackend& backend();
+  /// The routing layer every operation goes through (bench harness;
+  /// advanced callers that must not block the closed loop).
+  ShardRouter& router();
 
   /// Concrete deployments for instrumentation — stats, misbehaviour
   /// injection, trust-authority queries. Aborts (in every build type)

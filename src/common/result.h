@@ -3,12 +3,27 @@
 #pragma once
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
 #include "common/status.h"
 
 namespace wedge {
+
+namespace result_internal {
+
+/// Prints `status` and aborts. A check that survives NDEBUG: reading the
+/// value of an error Result would otherwise be silent undefined behavior
+/// in release builds.
+[[noreturn]] inline void DieOnError(const Status& status) {
+  std::fprintf(stderr, "Result::ValueOrDie on an error: %s\n",
+               status.ToString().c_str());
+  std::abort();
+}
+
+}  // namespace result_internal
 
 /// Holds either a value of type `T` or an error `Status`. Never holds both.
 ///
@@ -34,17 +49,18 @@ class Result {
   /// The error status; Status::OK() if a value is held.
   const Status& status() const { return status_; }
 
-  /// The held value. Requires ok().
+  /// The held value. Prints the status and aborts, in every build type,
+  /// if this Result holds an error.
   const T& ValueOrDie() const& {
-    assert(ok());
+    if (!ok()) result_internal::DieOnError(status_);
     return *value_;
   }
   T& ValueOrDie() & {
-    assert(ok());
+    if (!ok()) result_internal::DieOnError(status_);
     return *value_;
   }
   T ValueOrDie() && {
-    assert(ok());
+    if (!ok()) result_internal::DieOnError(status_);
     return std::move(*value_);
   }
 

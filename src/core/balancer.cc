@@ -143,7 +143,6 @@ void AutoBalancer::Tick() {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.ticks++;
   }
-  if (hooks_.signals) last_signals_ = hooks_.signals();
   const std::optional<Window> window = ReadWindow();
   if (!window.has_value()) return;  // fresh epoch: re-baseline only
   if (window->total < policy_.min_window_ops) return;  // no signal

@@ -40,34 +40,11 @@
 #include <optional>
 #include <vector>
 
-#include "common/histogram.h"
 #include "core/partitioner.h"
 #include "core/resharding.h"
 #include "runtime/runtime.h"
 
 namespace wedge {
-
-/// Per-shard load signals beyond raw op counts, produced by the routing
-/// layer (RouterStats::load) and fed to the balancer via Hooks::signals.
-/// Today the policy still decides on op-count heat alone — these are
-/// plumbing for watermarks on read p99 / byte skew; the balancer only
-/// records the latest snapshot (last_signals()).
-struct ShardSignals {
-  /// Read latency per shard slot, cumulative since Open (epoch installs
-  /// do not reset it — latency history survives map changes).
-  std::vector<Histogram> read_latency;
-  /// Value bytes returned by each slot's reads.
-  std::vector<uint64_t> bytes_read;
-  /// Value bytes routed to each slot in write batches (counted at
-  /// routing time, attributed to the owner the sub-batch commits on).
-  std::vector<uint64_t> bytes_written;
-
-  void Resize(size_t slots) {
-    read_latency.resize(slots);
-    bytes_read.resize(slots, 0);
-    bytes_written.resize(slots, 0);
-  }
-};
 
 /// Policy knobs of the autonomous shard lifecycle
 /// (StoreOptions::WithAutoBalance).
@@ -139,10 +116,6 @@ class AutoBalancer {
     std::function<void(size_t, ReshardingCoordinator::SplitCb)> split;
     std::function<void(size_t, ReshardingCoordinator::SplitCb)> merge;
     std::function<bool()> busy;
-    /// Optional richer load snapshot (per-shard read-latency histograms
-    /// and byte counters). Read once per tick when bound; the latest
-    /// snapshot is kept in last_signals(). No policy consumes it yet.
-    std::function<ShardSignals()> signals;
   };
 
   AutoBalancer(Executor* exec, std::shared_ptr<OwnershipTable> table,
@@ -165,9 +138,6 @@ class AutoBalancer {
     std::lock_guard<std::mutex> lock(stats_mu_);
     return stats_;
   }
-  /// The most recent Hooks::signals snapshot (empty until the first
-  /// tick, or when the hook is unbound).
-  const ShardSignals& last_signals() const { return last_signals_; }
 
  private:
   /// Per-tick watermark decision inputs: the delta of routed ops per
@@ -215,7 +185,6 @@ class AutoBalancer {
   /// Store::stats() snapshots from the caller's thread.
   mutable std::mutex stats_mu_;
   BalancerStats stats_;
-  ShardSignals last_signals_;
 };
 
 }  // namespace wedge

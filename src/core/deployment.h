@@ -50,7 +50,7 @@ struct DeploymentConfig {
   /// become live when a SplitShard migrates a key range onto them.
   size_t num_edges = 1;
   /// Key partitioning across edges (core/partitioner.h). num_shards == 0
-  /// keeps the legacy unsharded wiring.
+  /// pins clients round-robin over the edges, as described above.
   ShardingConfig sharding;
   EdgeConfig edge;
   CloudConfig cloud;

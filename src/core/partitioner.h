@@ -54,9 +54,10 @@ inline const char* ShardSchemeToString(ShardScheme s) {
 
 /// Sharding knobs carried by DeploymentConfig / StoreOptions.
 struct ShardingConfig {
-  /// Number of key partitions. 0 = sharding off (legacy behaviour:
-  /// clients round-robin over all edges, no routing layer). 1 = a single
-  /// shard (all keys on edge 0). Must not exceed num_edges.
+  /// Number of key partitions. 0 = unsharded: one shard, with clients
+  /// round-robin over all edges (client i on edge i % num_edges). 1 = a
+  /// single shard on edge 0. Either way the router treats the store as
+  /// one shard. Must not exceed num_edges.
   size_t num_shards = 0;
   ShardScheme scheme = ShardScheme::kHash;
   /// kRange only: exclusive upper bound of the key domain that is cut

@@ -54,10 +54,4 @@ size_t LevelState::ByteSize() const {
   return sz;
 }
 
-size_t LevelState::FilterByteSize() const {
-  size_t sz = 0;
-  for (const BloomFilter& f : filters_) sz += f.ByteSize();
-  return sz;
-}
-
 }  // namespace wedge

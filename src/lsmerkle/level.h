@@ -68,9 +68,6 @@ class LevelState {
   /// Total payload bytes across pages (cost model input).
   size_t ByteSize() const;
 
-  /// Bytes spent on bloom filters (diagnostics / ablation).
-  size_t FilterByteSize() const;
-
  private:
   /// Shared so responses can alias individual pages zero-copy; replaced
   /// wholesale (never mutated) on merge.

@@ -253,17 +253,6 @@ Status VerifierCache::VerifyPresentedRoot(
   return Status::OK();
 }
 
-Result<std::shared_ptr<VerifierCache::BlockEntry>>
-VerifierCache::VerifyPresentedL0Block(
-    const KeyStore& keystore, NodeId edge,
-    const std::shared_ptr<const Block>& block,
-    const std::optional<BlockCertificate>& cert, VerifierCache* cache) {
-  auto entries = VerifyPresentedL0Blocks(keystore, edge, {block}, {cert},
-                                         cache);
-  if (!entries.ok()) return entries.status();
-  return std::move((*entries)[0]);
-}
-
 Result<std::vector<std::shared_ptr<VerifierCache::BlockEntry>>>
 VerifierCache::VerifyPresentedL0Blocks(
     const KeyStore& keystore, NodeId edge,

@@ -197,25 +197,19 @@ class VerifierCache {
                                     const std::vector<Digest256>& level_roots,
                                     VerifierCache* cache);
 
-  /// Full set of checks for one presented L0 block + optional certificate,
-  /// shared by get and scan verification. With a cache, a content-equal
-  /// block (or the cached block object itself, as a resolved reference
-  /// presents it) skips re-hashing and re-validation and the returned
-  /// entry's `newest` index replaces payload decoding; without one (`cache ==
-  /// nullptr`, returns nullptr on success) the classic per-request checks
-  /// run: reservation validation and, when a certificate is present, its
+  /// Full set of checks for a response's presented L0 blocks, each with
+  /// an optional certificate, shared by get and scan verification. With a
+  /// cache, a content-equal block (or the cached block object itself, as
+  /// a resolved reference presents it) skips re-hashing and re-validation
+  /// and the returned entry's `newest` index replaces payload decoding;
+  /// without one (`cache == nullptr`) the classic per-request checks run:
+  /// reservation validation and, when a certificate is present, its
   /// signature plus a digest match against the re-hashed block.
-  /// SecurityViolation on any mismatch.
-  static Result<std::shared_ptr<BlockEntry>> VerifyPresentedL0Block(
-      const KeyStore& keystore, NodeId edge,
-      const std::shared_ptr<const Block>& block,
-      const std::optional<BlockCertificate>& cert, VerifierCache* cache);
-
-  /// Batch form over a whole response's L0 run: cache-missed blocks are
-  /// digested together through the multi-buffer hasher instead of one at
-  /// a time, then validated individually. Returns one entry per block
-  /// (entries are nullptr when `cache == nullptr`), in input order.
-  /// `certs` must be parallel to `blocks`.
+  /// Cache-missed blocks are digested together through the multi-buffer
+  /// hasher, then validated individually. Returns one entry per block
+  /// (entries are nullptr when `cache == nullptr`), in input order, or
+  /// SecurityViolation on any mismatch. `certs` must be parallel to
+  /// `blocks`.
   static Result<std::vector<std::shared_ptr<BlockEntry>>>
   VerifyPresentedL0Blocks(const KeyStore& keystore, NodeId edge,
                           const std::vector<std::shared_ptr<const Block>>& blocks,

@@ -40,30 +40,11 @@ class BoundedMpscQueue {
     return true;
   }
 
-  /// Non-blocking push: false if full or closed.
-  bool TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available or the queue is closed AND empty.
   /// Returns nullopt only in the closed-and-drained case.
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    return PopLocked();
-  }
-
-  /// Non-blocking pop; also consumes a pending nudge (returning nullopt).
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    nudged_ = false;
-    if (items_.empty()) return std::nullopt;
     return PopLocked();
   }
 

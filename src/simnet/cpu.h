@@ -40,14 +40,9 @@ class CpuLane {
   /// True if the lane has unfinished work at the current time.
   bool busy() const { return busy_until_ > sim_->now(); }
 
-  /// Total time this lane has been reserved since construction/reset.
-  /// (Utilization = busy_time / elapsed.)
-  SimTime ReservedTotal() const { return reserved_total_; }
-
  private:
   Simulation* sim_;
   SimTime busy_until_ = 0;
-  SimTime reserved_total_ = 0;
 };
 
 }  // namespace wedge

@@ -12,14 +12,6 @@ void SimNetwork::Attach(NodeId id, Dc location, Endpoint* endpoint) {
 
 void SimNetwork::Detach(NodeId id) { nodes_.erase(id); }
 
-Result<Dc> SimNetwork::LocationOf(NodeId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
-    return Status::NotFound("node " + std::to_string(id) + " not attached");
-  }
-  return it->second.location;
-}
-
 void SimNetwork::SetLinkDown(NodeId a, NodeId b, bool down) {
   auto key1 = std::make_pair(a, b);
   auto key2 = std::make_pair(b, a);

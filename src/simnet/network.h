@@ -71,8 +71,6 @@ class SimNetwork : public Transport {
   /// Unregisters a node; in-flight messages to it are dropped on arrival.
   void Detach(NodeId id);
 
-  Result<Dc> LocationOf(NodeId id) const;
-
   /// Cuts (or restores) the link between two nodes, both directions.
   void SetLinkDown(NodeId a, NodeId b, bool down);
 

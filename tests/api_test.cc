@@ -1,5 +1,5 @@
 // Tests for the wedge::Store façade (api/store.h): the identical call
-// sequence on all three backends, CommitHandle phase ordering, the
+// sequence on all three backends, write-handle phase ordering, the
 // backend capability surface, and a malicious edge surfacing as
 // SecurityViolation through the façade.
 
@@ -38,7 +38,7 @@ TEST_P(StoreApiTest, PutGetScanRoundTrip) {
 
   std::vector<std::pair<Key, Bytes>> kvs;
   for (Key k = 10; k < 14; ++k) kvs.emplace_back(k, Val(1));
-  CommitHandle write = store.PutBatch(kvs);
+  AsyncCommit write = store.PutBatch(kvs);
 
   auto p1 = write.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
@@ -243,12 +243,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // WedgeChain: Phase I is an edge-latency commit, Phase II completes
 // strictly later, once the far-away cloud certified the digest.
-TEST(CommitHandleTest, WedgePhase1CommitsBeforePhase2) {
+TEST(CommitPhasesTest, WedgePhase1CommitsBeforePhase2) {
   auto opened = Store::Open(SmallOptions(BackendKind::kWedge));
   ASSERT_TRUE(opened.ok());
   Store store = std::move(*opened);
 
-  CommitHandle h = store.Put(42, Val(1));
+  AsyncCommit h = store.Put(42, Val(1));
   // One put of a 4-op block: the partial-flush timer forms the block.
   auto p1 = h.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
@@ -267,14 +267,14 @@ TEST(CommitHandleTest, WedgePhase1CommitsBeforePhase2) {
 }
 
 // Baselines certify synchronously: their single commit is both phases.
-TEST(CommitHandleTest, BaselinesCollapsePhases) {
+TEST(CommitPhasesTest, BaselinesCollapsePhases) {
   for (BackendKind kind :
        {BackendKind::kEdgeBaseline, BackendKind::kCloudOnly}) {
     auto opened = Store::Open(SmallOptions(kind));
     ASSERT_TRUE(opened.ok());
     Store store = std::move(*opened);
 
-    CommitHandle h = store.PutBatch({{1, Val(1)}, {2, Val(1)}});
+    AsyncCommit h = store.PutBatch({{1, Val(1)}, {2, Val(1)}});
     auto p1 = h.WaitPhase1();
     ASSERT_TRUE(p1.ok()) << p1.status();
     EXPECT_TRUE(h.phase2_done());
@@ -294,7 +294,7 @@ TEST_P(StoreApiTest, AppendAndReadBlockRoundTrip) {
   ASSERT_TRUE(opened.ok());
   Store store = std::move(*opened);
 
-  CommitHandle h = store.Append(
+  AsyncCommit h = store.Append(
       {Bytes{'a'}, Bytes{'b'}, Bytes{'c'}, Bytes{'d'}});
   auto p1 = h.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();

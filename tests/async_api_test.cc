@@ -39,10 +39,19 @@ StoreOptions SmallOptions(const AsyncCase& c) {
 
 Bytes Val(uint8_t tag) { return Bytes(16, tag); }
 
-/// Fail-stops the wedge edge as seen from the network, so in-flight and
-/// future requests to it never complete (deadline/cancel territory).
-void CrashWedgeEdge(Store& store) {
-  store.runtime().faults().CrashNode(store.wedge().edge().id());
+/// Drops every client->edge message, so requests to the wedge edge never
+/// complete (deadline/cancel territory). Link shaping is invisible to
+/// the router's reachability check, so requests still go to the edge
+/// rather than failing fast or over to the cloud, as they would against
+/// a crashed edge.
+void SilenceWedgeEdge(Store& store) {
+  Deployment& d = store.wedge();
+  LinkShape drop_all;
+  drop_all.drop_prob = 1.0;
+  for (size_t c = 0; c < d.client_count(); ++c) {
+    store.runtime().faults().ShapeLink(d.client(c).id(), d.edge().id(),
+                                       drop_all);
+  }
 }
 
 class AsyncApiTest : public ::testing::TestWithParam<AsyncCase> {};
@@ -123,7 +132,7 @@ TEST_P(AsyncApiTest, PhaseOneSettlesBeforePhaseTwo) {
 }
 
 // The ordering invariant holds on the deadline path too: a deadline
-// expiring against a crashed edge force-settles Phase I before Phase II
+// expiring against a silent edge force-settles Phase I before Phase II
 // (same status), never Phase II alone.
 TEST_P(AsyncApiTest, DeadlineSettlesPhasesInOrder) {
   if (GetParam().backend != BackendKind::kWedge) {
@@ -132,7 +141,7 @@ TEST_P(AsyncApiTest, DeadlineSettlesPhasesInOrder) {
   auto opened = Store::Open(SmallOptions(GetParam()));
   ASSERT_TRUE(opened.ok()) << opened.status();
   Store store = std::move(*opened);
-  CrashWedgeEdge(store);
+  SilenceWedgeEdge(store);
 
   std::mutex mu;
   std::vector<int> order;
@@ -176,7 +185,7 @@ TEST_P(AsyncApiTest, CancelSettlesExactlyOnce) {
   auto opened = Store::Open(SmallOptions(GetParam()));
   ASSERT_TRUE(opened.ok()) << opened.status();
   Store store = std::move(*opened);
-  CrashWedgeEdge(store);
+  SilenceWedgeEdge(store);
 
   int fires = 0;
   Status seen;
@@ -214,7 +223,7 @@ TEST_P(AsyncApiTest, AdmissionLimitRejectsExcessIssues) {
   auto opened = Store::Open(std::move(o));
   ASSERT_TRUE(opened.ok()) << opened.status();
   Store store = std::move(*opened);
-  CrashWedgeEdge(store);
+  SilenceWedgeEdge(store);
 
   AsyncOp<GetResult> a = store.AsyncGet(1);
   AsyncOp<GetResult> b = store.AsyncGet(2);
@@ -238,7 +247,7 @@ TEST_P(AsyncApiTest, AdmissionLimitRejectsExcessIssues) {
 
 // Destroying the store (and dropping every handle) with operations
 // still in flight must be safe — against a healthy deployment whose
-// completions race teardown, and against a crashed edge whose
+// completions race teardown, and against a silent edge whose
 // completions never come.
 TEST_P(AsyncApiTest, DestructionWithInflightIsSafe) {
   {
@@ -257,7 +266,7 @@ TEST_P(AsyncApiTest, DestructionWithInflightIsSafe) {
     auto opened = Store::Open(SmallOptions(GetParam()));
     ASSERT_TRUE(opened.ok()) << opened.status();
     Store store = std::move(*opened);
-    CrashWedgeEdge(store);
+    SilenceWedgeEdge(store);
     AsyncOptions opts;
     opts.deadline = 10 * kSecond;  // timer pending at destruction
     for (Key k = 0; k < 4; ++k) store.AsyncPut(k, Val(5), 0, opts);

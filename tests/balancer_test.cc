@@ -203,42 +203,6 @@ TEST(BalancerPolicyTest, SplitWithoutAnIdleSlotWaitsForAMerge) {
   EXPECT_GE(h.balancer->stats().split_blocked_no_slot, 1u);
 }
 
-// Signals plumbing: a bound Hooks::signals is read once per tick and the
-// snapshot pinned in last_signals() — a copy, not a live alias.
-TEST(BalancerPolicyTest, SignalsSnapshotIsCapturedEachTick) {
-  SimRuntime rt{1, NetworkConfig{}};
-  auto table = std::make_shared<OwnershipTable>(Partitioner::Range(2, 1000),
-                                                4);
-  ShardSignals live;
-  live.Resize(table->capacity());
-  std::vector<uint64_t> heat(table->capacity(), 0);
-  AutoBalancer::Hooks hooks;
-  hooks.heat = [&heat]() { return heat; };
-  hooks.split = [](size_t, ReshardingCoordinator::SplitCb) {};
-  hooks.merge = [](size_t, ReshardingCoordinator::SplitCb) {};
-  hooks.busy = []() { return false; };
-  hooks.signals = [&live]() { return live; };
-  AutoBalancer balancer(rt.ControlExecutor(), table, TestPolicy(),
-                        std::move(hooks));
-
-  EXPECT_TRUE(balancer.last_signals().read_latency.empty())
-      << "no snapshot before the first tick";
-  live.read_latency[0].Record(1500);
-  live.read_latency[0].Record(2500);
-  live.bytes_read[1] = 4096;
-  live.bytes_written[2] = 1 << 20;
-  balancer.Tick();
-
-  const ShardSignals& snap = balancer.last_signals();
-  ASSERT_EQ(snap.read_latency.size(), 4u);
-  EXPECT_EQ(snap.read_latency[0].count(), 2u);
-  EXPECT_EQ(snap.bytes_read[1], 4096u);
-  EXPECT_EQ(snap.bytes_written[2], 1u << 20);
-  // Pinned at tick time: later source mutations don't bleed in.
-  live.read_latency[0].Record(9999);
-  EXPECT_EQ(balancer.last_signals().read_latency[0].count(), 2u);
-}
-
 // ------------------------------------------------- store-level lifecycle
 
 TEST(AutoBalanceStoreTest, OpenValidatesThePolicySurface) {
@@ -355,60 +319,14 @@ TEST(AutoBalanceStoreTest, LifecycleRunsWithoutOperatorCalls) {
   }
 }
 
-// End-to-end signal flow: routed reads and writes fill the router's
-// per-shard load histograms/byte counters, and the balancer's tick loop
-// snapshots them into last_signals() — the feed a latency/byte-skew
-// watermark policy will consume.
-TEST(AutoBalanceStoreTest, RouterFeedsLoadSignalsToTheBalancer) {
-  BalancerPolicy policy;
-  policy.tick_period = 100 * kMillisecond;
-
-  StoreOptions o;
-  o.WithSeed(3)
-      .WithOpsPerBlock(4)
-      .WithLsm({3, 2, 8}, 8)
-      .WithShards(2, ShardScheme::kRange, /*range_span=*/1000)
-      .WithShardCapacity(3)
-      .WithAutoBalance(policy);
-  o.deploy.net.jitter_frac = 0.0;
-  auto opened = Store::Open(o);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  Store store = std::move(*opened);
-
-  // Writes land in both shards' ranges; reads touch both.
-  std::vector<std::pair<Key, Bytes>> kvs;
-  for (Key k = 100; k < 1000; k += 200) kvs.emplace_back(k, Val(9));
-  ASSERT_TRUE(store.PutBatch(kvs).WaitPhase2().ok());
-  for (Key k = 100; k < 1000; k += 200) ASSERT_TRUE(store.Get(k).ok());
-  store.RunFor(300 * kMillisecond);  // a few balancer ticks
-
-  const StoreStats stats = store.stats();
-  const ShardSignals& load = stats.router.load;
-  ASSERT_EQ(load.read_latency.size(), 3u) << "one slot per capacity";
-  EXPECT_GT(load.read_latency[0].count(), 0u);
-  EXPECT_GT(load.read_latency[1].count(), 0u);
-  EXPECT_GT(load.read_latency[0].Median(), 0);
-  EXPECT_GT(load.bytes_read[0], 0u);
-  EXPECT_GT(load.bytes_written[0], 0u);
-  EXPECT_GT(load.bytes_written[1], 0u);
-  // The idle slot saw nothing.
-  EXPECT_EQ(load.read_latency[2].count(), 0u);
-
-  ASSERT_NE(store.balancer(), nullptr);
-  const ShardSignals& snap = store.balancer()->last_signals();
-  ASSERT_EQ(snap.read_latency.size(), 3u);
-  EXPECT_GT(snap.read_latency[0].count(), 0u);
-  EXPECT_GT(snap.bytes_written[0], 0u);
-}
-
 // Store::stats() surfaces the balancer counters (and defaults cleanly
-// on an unrouted store).
+// on an unsharded store, which runs no balancer).
 TEST(AutoBalanceStoreTest, StatsSnapshotCoversTheLifecycle) {
   StoreOptions o;
   o.WithOpsPerBlock(4);
-  auto unrouted = Store::Open(o);
-  ASSERT_TRUE(unrouted.ok());
-  StoreStats s = unrouted->stats();
+  auto unsharded = Store::Open(o);
+  ASSERT_TRUE(unsharded.ok());
+  StoreStats s = unsharded->stats();
   EXPECT_EQ(s.epoch, 1u);
   EXPECT_EQ(s.live_shards, 1u);
   EXPECT_EQ(s.balancer.ticks, 0u);

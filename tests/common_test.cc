@@ -73,6 +73,14 @@ TEST(ResultTest, HoldsError) {
   EXPECT_EQ(r.ValueOr(-1), -1);
 }
 
+// Reading the value of an error Result aborts with the status, in every
+// build type: an assert alone vanishes under NDEBUG and returns garbage.
+TEST(ResultDeathTest, DereferencingAnErrorDies) {
+  Result<int> r = Status::NotFound("nope");
+  EXPECT_DEATH((void)*r, "NotFound: nope");
+  EXPECT_DEATH((void)std::move(r).ValueOrDie(), "NotFound: nope");
+}
+
 TEST(ResultTest, MoveOutValue) {
   Result<std::string> r = std::string("payload");
   std::string v = std::move(r).ValueOrDie();

@@ -6,7 +6,8 @@
 //    (a recovered edge that then lies is still caught);
 //  - cloud outage: Phase I keeps committing, the certify backlog drains
 //    through the edge's exponential-backoff retry after heal;
-//  - partition + heal, with failure-aware read failover to the cloud;
+//  - partition + heal, with failure-aware read failover to the cloud
+//    (and a fast Unavailable when the cloud keeps no full backup);
 //  - link shaping (drop/delay) injection and clearing;
 //  - crash-mid-migration: killing the source or destination edge during
 //    a SplitShard aborts cleanly via the watchdog, ownership unchanged;
@@ -119,7 +120,7 @@ TEST_P(FaultFacadeTest, CloudOutagePhase1ServesAndBacklogDrainsAfterHeal) {
 
   store.runtime().faults().CrashNode(cloud);
 
-  std::vector<CommitHandle> writes;
+  std::vector<AsyncCommit> writes;
   for (int i = 0; i < 3; ++i) {
     std::vector<std::pair<Key, Bytes>> kvs;
     for (Key k = 0; k < 4; ++k) {
@@ -162,19 +163,20 @@ TEST_P(FaultFacadeTest, CloudOutagePhase1ServesAndBacklogDrainsAfterHeal) {
 }
 
 // --------------------------------------------- crash, failover, recover
-// Failure-aware routing on a sharded store: with shard 0's edge crashed,
-// reads on its keys degrade to cloud-served (verified) gets, writes fail
-// fast, the other shard is untouched, and recovery re-hydrates the edge
-// so direct serving resumes.
-TEST_P(FaultFacadeTest, EdgeCrashFailsOverReadsAndRecovers) {
-  StoreOptions o =
-      ChaosOptions(GetParam()).WithShards(2, ShardScheme::kRange, 1000);
+// Failure-aware routing with shard 0's edge crashed: reads on its keys
+// degrade to cloud-served (verified) gets, writes and scans fail fast,
+// and recovery re-hydrates the edge so direct serving resumes. `shards`
+// == 0 is an unsharded store, the one-shard case of the same routing;
+// with 2 shards the other shard keeps serving directly.
+void EdgeCrashFailsOverReadsAndRecovers(const FaultCase& c, size_t shards) {
+  StoreOptions o = ChaosOptions(c);
+  if (shards > 0) o.WithShards(shards, ShardScheme::kRange, 1000);
   auto opened = Store::Open(o);
   ASSERT_TRUE(opened.ok()) << opened.status();
   Store store = std::move(*opened);
 
-  // One full block on each shard: keys 10..13 live on shard 0,
-  // 600..603 on shard 1 (range scheme, span 1000).
+  // One full block per key group: keys 10..13 live on shard 0, 600..603
+  // on shard 1 when sharded (range scheme, span 1000).
   std::vector<std::pair<Key, Bytes>> low, high;
   for (Key k = 10; k < 14; ++k) low.emplace_back(k, Val(1));
   for (Key k = 600; k < 604; ++k) high.emplace_back(k, Val(2));
@@ -201,7 +203,8 @@ TEST_P(FaultFacadeTest, EdgeCrashFailsOverReadsAndRecovers) {
   // A scan touching the dead shard fails fast too...
   auto scan = store.Scan(0, 999);
   EXPECT_TRUE(scan.status().IsUnavailable()) << scan.status();
-  // ...while the healthy shard serves normally.
+  // ...while the other key group still reads: from the healthy shard
+  // when sharded, through the failover when unsharded.
   auto other = store.Get(600);
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_TRUE(other->found);
@@ -220,6 +223,44 @@ TEST_P(FaultFacadeTest, EdgeCrashFailsOverReadsAndRecovers) {
   const StoreStats s = store.stats();
   EXPECT_EQ(s.faults.crashes, 1u);
   EXPECT_EQ(s.faults.restarts, 1u);
+}
+
+TEST_P(FaultFacadeTest, EdgeCrashFailsOverReadsAndRecovers) {
+  EdgeCrashFailsOverReadsAndRecovers(GetParam(), /*shards=*/2);
+}
+
+TEST_P(FaultFacadeTest, UnshardedEdgeCrashFailsOverReadsAndRecovers) {
+  EdgeCrashFailsOverReadsAndRecovers(GetParam(), /*shards=*/0);
+}
+
+// Without a full cloud backup nothing but the edge holds a shard's
+// recent data, so a failover read would answer "not found" for keys the
+// cloud never saw. The router fails it fast instead, like writes and
+// scans. A full backup needs both the cloud keeping blocks and the edges
+// shipping their bodies; with either off the cloud holds at most the
+// blocks it saw through merges.
+TEST_P(FaultFacadeTest, EdgeCrashWithoutBackupFailsReadsFast) {
+  for (const bool backup : {false, true}) {
+    StoreOptions o =
+        ChaosOptions(GetParam()).WithShards(2, ShardScheme::kRange, 1000);
+    o.deploy.cloud.backup_blocks = backup;
+    o.deploy.edge.ship_full_blocks = !backup;
+    auto opened = Store::Open(o);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    Store store = std::move(*opened);
+
+    std::vector<std::pair<Key, Bytes>> low;
+    for (Key k = 10; k < 14; ++k) low.emplace_back(k, Val(1));
+    ASSERT_TRUE(store.PutBatch(low).WaitPhase2().ok());
+
+    store.wedge().CrashEdge(0);
+    const uint64_t rejects = store.stats().router.unreachable_rejects;
+    auto got = store.Get(10);
+    EXPECT_TRUE(got.status().IsUnavailable())
+        << "backup_blocks=" << backup << ": " << got.status();
+    EXPECT_EQ(store.stats().router.unreachable_rejects, rejects + 1);
+    EXPECT_EQ(store.stats().router.failovers, 0u);
+  }
 }
 
 // ------------------------------------------------------ partition/heal
@@ -585,19 +626,26 @@ TEST(FacadeRetryTest, ReadRetriesRideOutACrashWindow) {
   for (Key k = 10; k < 14; ++k) kvs.emplace_back(k, Val(1));
   ASSERT_TRUE(store.PutBatch(kvs).WaitPhase2().ok());
 
-  // Crash the (only) edge, and schedule its recovery 1s out — inside
-  // the retry budget. The first attempts fail on their per-op deadline;
-  // the backoff pumps the simulator across the recovery, and a later
-  // attempt reads the re-hydrated edge.
-  store.wedge().CrashEdge(0);
+  // Crash the (only) edge and cut the client off from the cloud, so the
+  // router's failover read cannot answer either; heal and recover 1s
+  // out — inside the retry budget. The first attempts fail on their
+  // per-op deadline; the backoff pumps the simulator across the
+  // recovery, and a later attempt reads the re-hydrated edge.
+  Deployment& d = store.wedge();
+  d.CrashEdge(0);
+  store.runtime().faults().Partition({d.client(0).id()}, {d.cloud().id()});
   store.runtime().ControlExecutor()->After(kSecond, [&store] {
+    store.runtime().faults().HealPartition();
     store.wedge().RecoverEdge(0);
   });
 
+  const uint64_t issued_before = store.async_stats().issued;
   auto got = store.Get(10, 0, /*deadline=*/300 * kMillisecond);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_TRUE(got->found);
   EXPECT_EQ(got->value, Val(1));
+  EXPECT_GE(store.async_stats().issued - issued_before, 2u)
+      << "the read must ride out the window by retrying";
 }
 
 TEST(FacadeRetryTest, UnboundedRetryRejectedAtOpen) {

@@ -381,7 +381,7 @@ TEST_P(ReshardingStoreTest, LiveTrafficDuringMigration) {
   // Start the split asynchronously so traffic can interleave with it.
   std::atomic<bool> split_done{false};
   Status split_status;
-  store.backend().SplitShard(
+  store.router().SplitShard(
       0, [&](const Status& s, const SplitReport&, SimTime) {
         split_status = s;
         split_done.store(true, std::memory_order_release);
@@ -401,7 +401,7 @@ TEST_P(ReshardingStoreTest, LiveTrafficDuringMigration) {
   // A write into the moving range parks behind the fence (or, under
   // threads, lands on the source before the fence and is exported) and
   // commits to the post-split owner either way.
-  CommitHandle parked = store.Put(275, Val(7));
+  AsyncCommit parked = store.Put(275, Val(7));
   auto p1 = parked.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
   if (Sim()) {
@@ -472,8 +472,8 @@ TEST_P(ReshardingStoreTest, BlockIdsStayStableAcrossEpochs) {
                               {330, Val(3)}})
                   .WaitPhase2()
                   .ok());
-  CommitHandle h = store.Append({Bytes{'a'}, Bytes{'b'}, Bytes{'c'},
-                                 Bytes{'d'}});
+  AsyncCommit h = store.Append({Bytes{'a'}, Bytes{'b'}, Bytes{'c'},
+                                Bytes{'d'}});
   auto p1 = h.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
   ASSERT_TRUE(h.WaitPhase2().ok());
@@ -573,6 +573,29 @@ TEST(ReshardingStoreTest, UnboundedSliceRefusesToSplit) {
   EXPECT_EQ(split->moved_lo, 50u);
   EXPECT_GT(split->pairs_moved, 0u);
   auto got = s2.Get(60);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->value, Val(1));
+}
+
+// An unsharded store routes as one live shard with no spare slot: the
+// coordinator refuses every migration, and the store keeps serving
+// under epoch 1.
+TEST(ReshardingStoreTest, UnshardedStoreRefusesMigrations) {
+  StoreOptions o;
+  o.WithOpsPerBlock(4);
+  auto opened = Store::Open(o);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store store = std::move(*opened);
+  ASSERT_TRUE(store.Put(42, Val(1)).WaitPhase2().ok());
+
+  EXPECT_TRUE(store.SplitShard(0).status().IsFailedPrecondition());
+  EXPECT_TRUE(store.MergeShards(0).status().IsFailedPrecondition());
+  EXPECT_TRUE(store.Rebalance().status().IsFailedPrecondition());
+  EXPECT_EQ(store.ownership_epoch(), 1u);
+  const ReshardingCoordinator::Stats rs = store.resharding()->stats_snapshot();
+  EXPECT_EQ(rs.splits_started, 0u);
+  EXPECT_EQ(rs.merges_started, 0u);
+  auto got = store.Get(42);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->value, Val(1));
 }
@@ -779,12 +802,12 @@ TEST_P(ReshardingSecurityTest, TamperingSourceFailsTheMigration) {
   // write into the moving range so the write parks behind the fence.
   std::atomic<bool> split_done{false};
   Status split_status;
-  store.backend().SplitShard(
+  store.router().SplitShard(
       0, [&](const Status& s, const SplitReport&, SimTime) {
         split_status = s;
         split_done.store(true, std::memory_order_release);
       });
-  store.backend().PutBatch(0, {{260, Val(9)}}, nullptr, nullptr);
+  store.router().PutBatch(0, {{260, Val(9)}}, nullptr, nullptr);
   if (Sim()) {
     EXPECT_EQ(store.stats().router.writes_parked, 1u);
   }
@@ -814,7 +837,7 @@ TEST_P(ReshardingSecurityTest, TamperingSourceFailsTheMigration) {
   // The fence was lifted with the abort: new writes into the formerly
   // moving range are routed (to the unchanged owner), not parked.
   const uint64_t parked = store.stats().router.writes_parked;
-  store.backend().PutBatch(0, {{270, Val(9)}}, nullptr, nullptr);
+  store.router().PutBatch(0, {{270, Val(9)}}, nullptr, nullptr);
   if (!Sim()) Settle(store, kSecond);
   EXPECT_EQ(store.stats().router.writes_parked, parked)
       << "the aborted migration must not leave its fence behind";
@@ -866,7 +889,7 @@ TEST_P(ReshardingSecurityTest, TamperingSourceFailsTheMerge) {
   auto other = store.Get(700);
   ASSERT_TRUE(other.ok()) << other.status();
   const uint64_t parked = store.stats().router.writes_parked;
-  store.backend().PutBatch(0, {{260, Val(9)}}, nullptr, nullptr);
+  store.router().PutBatch(0, {{260, Val(9)}}, nullptr, nullptr);
   if (!Sim()) Settle(store, kSecond);
   EXPECT_EQ(store.stats().router.writes_parked, parked)
       << "the aborted merge must not leave its fence behind";
@@ -969,13 +992,13 @@ TEST(RouterRegressionTest, EmptySliceScanStillAnswers) {
   ASSERT_TRUE(store.Put(10, Val(1)).WaitPhase1().ok());
 
   bool answered = false;
-  store.backend().Scan(0, /*lo=*/500, /*hi=*/100,
-                       [&](const Status& s, ScanResult r, SimTime) {
-                         EXPECT_TRUE(s.ok()) << s;
-                         EXPECT_TRUE(r.pairs.empty());
-                         EXPECT_TRUE(r.verified);
-                         answered = true;
-                       });
+  store.router().Scan(0, /*lo=*/500, /*hi=*/100,
+                      [&](const Status& s, ScanResult r, SimTime) {
+                        EXPECT_TRUE(s.ok()) << s;
+                        EXPECT_TRUE(r.pairs.empty());
+                        EXPECT_TRUE(r.verified);
+                        answered = true;
+                      });
   store.RunFor(kSecond);
   EXPECT_TRUE(answered)
       << "an empty slice set must produce an empty verified result, "
@@ -1007,7 +1030,7 @@ TEST(RouterRegressionTest, FullyFencedBatchRefreshesTheClientEpoch) {
   // Second migration: shard 1's upper half [750, 999] is fenced while
   // the split drains.
   bool split_done = false;
-  store.backend().SplitShard(
+  store.router().SplitShard(
       1, [&](const Status& s, const SplitReport&, SimTime) {
         EXPECT_TRUE(s.ok()) << s;
         split_done = true;
@@ -1016,7 +1039,7 @@ TEST(RouterRegressionTest, FullyFencedBatchRefreshesTheClientEpoch) {
   const uint64_t refreshes = store.stats().router.epoch_refreshes;
   // Client 1's batch falls entirely inside the fence: it parks, and the
   // parking path itself must refresh the stale epoch view.
-  store.backend().PutBatch(1, {{800, Val(7)}}, nullptr, nullptr);
+  store.router().PutBatch(1, {{800, Val(7)}}, nullptr, nullptr);
   const RouterStats parked = store.stats().router;
   EXPECT_EQ(parked.writes_parked, 1u);
   EXPECT_GT(parked.epoch_refreshes, refreshes)

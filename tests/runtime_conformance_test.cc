@@ -76,7 +76,7 @@ TEST_P(RuntimeConformanceTest, PutGetScanRoundTrip) {
 
   std::vector<std::pair<Key, Bytes>> kvs;
   for (Key k = 10; k < 14; ++k) kvs.emplace_back(k, Val(1));
-  CommitHandle write = store.PutBatch(kvs);
+  AsyncCommit write = store.PutBatch(kvs);
 
   auto p1 = write.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
@@ -120,7 +120,7 @@ TEST_P(RuntimeConformanceTest, PhaseOrderingMatchesBackendContract) {
   ASSERT_TRUE(opened.ok()) << opened.status();
   Store store = std::move(*opened);
 
-  CommitHandle h =
+  AsyncCommit h =
       store.PutBatch({{1, Val(1)}, {2, Val(1)}, {3, Val(1)}, {4, Val(1)}});
   auto p1 = h.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
@@ -165,7 +165,7 @@ TEST_P(RuntimeConformanceTest, AppendAndReadBlockRoundTrip) {
   ASSERT_TRUE(opened.ok()) << opened.status();
   Store store = std::move(*opened);
 
-  CommitHandle h =
+  AsyncCommit h =
       store.Append({Bytes{'a'}, Bytes{'b'}, Bytes{'c'}, Bytes{'d'}});
   auto p1 = h.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();

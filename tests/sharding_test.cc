@@ -264,8 +264,8 @@ TEST_P(ShardedStoreTest, ShardedAppendReadBlockRoundTrip) {
   ASSERT_TRUE(opened.ok()) << opened.status();
   Store store = std::move(*opened);
 
-  CommitHandle h = store.Append({Bytes{'a'}, Bytes{'b'}, Bytes{'c'},
-                                 Bytes{'d'}});
+  AsyncCommit h = store.Append({Bytes{'a'}, Bytes{'b'}, Bytes{'c'},
+                                Bytes{'d'}});
   auto p1 = h.WaitPhase1();
   ASSERT_TRUE(p1.ok()) << p1.status();
   ASSERT_TRUE(h.WaitPhase2().ok());

@@ -250,7 +250,7 @@ int RunEdge(const Args& a) {
       const Key k = op * batch + j;
       kvs.emplace_back(k, ValueOf(k));
     }
-    CommitHandle h = store.PutBatch(kvs, op % clients);
+    AsyncCommit h = store.PutBatch(kvs, op % clients);
     const auto p1 = h.WaitPhase1();
     const auto p2 = h.WaitPhase2();
     if (!p1.ok() || !p2.ok()) {
